@@ -17,8 +17,8 @@ from . import constructions as cx
 from . import cosets as cosets_mod
 from . import wwl
 from .core import (ConstraintParams, ConvergenceError, ResourceLimitError,
-                   WriteSequence, check_constraint, format_state, measure_rate,
-                   parse_state, simulate)
+                   WriteSequence, bits_from_int, check_constraint, format_state,
+                   measure_rate, parse_state, simulate)
 
 VIOLATION_EXIT = 3
 
@@ -129,17 +129,6 @@ def _need(args, *names):
                          + ", ".join("--" + n for n in missing))
 
 
-def _theoretical_rate(code):
-    rate = getattr(code, "theoretical_rate", None)
-    if rate is not None:
-        return rate
-    if isinstance(code, cx.DilutedTimeCode):
-        return code.inner.theoretical_rate / code.params.alpha
-    if isinstance(code, cx.DilutedSpaceCode):
-        return code.inner.theoretical_rate / code.params.beta
-    return None
-
-
 def cmd_simulate(args):
     code = _build_code(args)
     writes = args.writes
@@ -164,7 +153,7 @@ def cmd_simulate(args):
         "seed": args.seed,
         "verdict": _verdict_json(verdict),
         "achieved_rate": report.rate,
-        "theoretical_rate": _theoretical_rate(code),
+        "theoretical_rate": code.theoretical_rate,
     })
     return 0 if verdict.satisfied else VIOLATION_EXIT
 
@@ -202,19 +191,14 @@ def cmd_findgood(args):
     _emit({
         "n": args.n, "beta": args.beta, "p": args.p,
         "j": len(search.basis),
-        "basis": [format_state(wwl_bits(z, args.n)) for z in search.basis],
+        "basis": [format_state(bits_from_int(z, args.n)) for z in search.basis],
         "rate": code.theoretical_rate,
-        "steps": [{"z": format_state(wwl_bits(s.z, args.n)),
+        "steps": [{"z": format_state(bits_from_int(s.z, args.n)),
                    "N_B": s.covered, "Q_B": s.q}
                   for s in search.steps],
         "mode": "exhaustive",
     })
     return 0
-
-
-def wwl_bits(value, width):
-    from .core import bits_from_int
-    return bits_from_int(value, width)
 
 
 def build_parser():

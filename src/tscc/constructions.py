@@ -582,6 +582,10 @@ class DilutedTimeCode(RewritingCode):
         inner = self._inner_index(write_index)
         return self.inner.decode(inner, current) if inner else 1
 
+    @property
+    def theoretical_rate(self) -> float:
+        return self.inner.theoretical_rate / self.params.alpha
+
 
 class DilutedSpaceCode(RewritingCode):
     """Stretch a per-cell budget code (alpha, 1, p) to (alpha, beta, p).
@@ -626,3 +630,7 @@ class DilutedSpaceCode(RewritingCode):
 
     def decode(self, write_index: int, current: Bits) -> int:
         return self.inner.decode(write_index, self._project(current))
+
+    @property
+    def theoretical_rate(self) -> float:
+        return self.inner.theoretical_rate / self.params.beta

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from math import log2
 from random import Random
 
+import numpy as np
+
 # A cell state is a tuple of 0/1 ints; index 0 is cell 1, the leftmost
 # and most significant position under psi().
 Bits = tuple
@@ -196,6 +198,12 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
     shorter suffix windows of longer traces are subsets of the last
     complete window and need no separate test.
 
+    All window costs come from one array pass: the flips are the XOR
+    of consecutive state rows, a prefix sum over writes differenced
+    min(alpha, m) rows apart gives each column's cost per time window,
+    and a prefix sum over cells differenced beta columns apart gives
+    each window's cost.
+
     Returns the first violation in (write, cell) lexicographic order.
     """
     n = ws.n
@@ -204,31 +212,25 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
     m = ws.writes
     if m == 0:
         return ConstraintVerdict(True)
-    flips = flip_matrix(ws)
-
-    # prefix[i][j] = total flips in rows < i, cols < j
-    prefix = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        row = flips[i - 1]
-        acc = 0
-        prev = prefix[i - 1]
-        cur = prefix[i]
-        for j in range(1, n + 1):
-            acc += row[j - 1]
-            cur[j] = prev[j] + acc
-
-    def window_cost(i, j, rows, cols):
-        return (prefix[i + rows - 1][j + cols - 1] - prefix[i - 1][j + cols - 1]
-                - prefix[i + rows - 1][j - 1] + prefix[i - 1][j - 1])
-
+    # no partial or window sum exceeds m * n
+    acc = np.int32 if m * n <= np.iinfo(np.int32).max else np.int64
+    states = np.array(ws.states, dtype=np.uint8)
+    by_write = np.zeros((m + 1, n), dtype=acc)
+    np.cumsum(states[1:] ^ states[:-1], axis=0, dtype=acc, out=by_write[1:])
+    del states
     rows = min(params.alpha, m)
-    last_start = max(1, m - params.alpha + 1)
-    for i in range(1, last_start + 1):
-        for j in range(1, n - params.beta + 2):
-            cost = window_cost(i, j, rows, params.beta)
-            if cost > params.p:
-                return ConstraintVerdict(False, write=i, cell=j, cost=cost)
-    return ConstraintVerdict(True)
+    col_cost = by_write[rows:] - by_write[:-rows]
+    del by_write
+    by_cell = np.zeros((col_cost.shape[0], n + 1), dtype=acc)
+    np.cumsum(col_cost, axis=1, out=by_cell[:, 1:])
+    del col_cost
+    cost = by_cell[:, params.beta:] - by_cell[:, :-params.beta]
+    over = cost > params.p
+    first = int(over.argmax())
+    if not over.flat[first]:
+        return ConstraintVerdict(True)
+    i, j = divmod(first, cost.shape[1])
+    return ConstraintVerdict(False, write=i + 1, cell=j + 1, cost=int(cost.flat[first]))
 
 
 class RewritingCode(ABC):

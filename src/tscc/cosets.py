@@ -140,7 +140,8 @@ class GoodCodeSearch:
                 f"greedy step failed to shrink the uncovered set ({before} -> {after}); "
                 "this contradicts the averaging argument")
         # averaging argument, exact in integers: Q_new <= Q_old^2
-        assert after * size <= before * before, "doubling guarantee violated"
+        if after * size > before * before:
+            raise RuntimeError(f"doubling guarantee violated: {after} * {size} > {before}^2")
         step = GreedyStep(z=z, covered=self.covered, missed=after, q=self.q)
         self.steps.append(step)
         return step
@@ -218,7 +219,9 @@ class CosetCode(RewritingCode):
                 rep[d] = s
         if len(rep) != 1 << (n - self.k):
             good, missed = is_s_good(basis, s_values, n)
-            assert not good
+            if good:
+                raise RuntimeError("coverage says S-good but some syndromes have no "
+                                   "admissible representative")
             raise ValueError(
                 f"code is not S-good: {missed} words uncovered, "
                 f"{(1 << (n - self.k)) - len(rep)} syndromes unreachable")

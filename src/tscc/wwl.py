@@ -391,5 +391,6 @@ def unrank(params: WwlParams, n: int, m: int, table: CountTable | None = None) -
         if cnt_try + 1 < m:
             c[i - 1] = 1
             cnt = cnt_try
-    assert cnt + 1 == m, "unrank bookkeeping broke"
+    if cnt + 1 != m:
+        raise RuntimeError(f"unrank bookkeeping broke: reached rank {cnt + 1}, wanted {m}")
     return tuple(c)

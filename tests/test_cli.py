@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,56 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "421"
+
+
+# --- README examples ---------------------------------------------------------
+
+def _readme_sessions():
+    """Each shell block of README.md as a list of (command, output lines)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sessions = []
+    for block in re.findall(r"^```\w*\n(.*?)^```$", text, flags=re.S | re.M):
+        if not block.startswith("$ "):
+            continue
+        steps = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            else:
+                steps[-1][1].append(line)
+        sessions.append(steps)
+    return sessions
+
+
+README_SESSIONS = _readme_sessions()
+
+
+def test_readme_has_every_example():
+    tscc = [cmd for steps in README_SESSIONS for cmd, _ in steps
+            if cmd.startswith("tscc ")]
+    assert len(tscc) == 10
+
+
+@pytest.mark.parametrize("steps", README_SESSIONS,
+                         ids=[next(c for c, _ in s if c.startswith("tscc "))
+                              for s in README_SESSIONS])
+def test_readme_example_output(steps, capsys, tmp_path, monkeypatch):
+    """Every `$ tscc` line of README.md prints exactly the lines shown under it."""
+    monkeypatch.chdir(tmp_path)
+    status = None
+    for k, (cmd, expected) in enumerate(steps):
+        argv = shlex.split(cmd)
+        if argv[0] == "printf":
+            fmt, redirect, path = argv[1:]
+            assert redirect == ">"
+            Path(path).write_text(fmt.replace("\\n", "\n"))
+        elif argv[0] == "echo":
+            assert argv[1:] == ["$?"]
+            assert expected == [str(status)]
+        else:
+            assert argv[0] == "tscc"
+            status = main(argv[1:])
+            out = capsys.readouterr().out
+            assert out.splitlines() == expected, cmd
+            if k + 1 == len(steps) or steps[k + 1][0] != "echo $?":
+                assert status == 0, cmd

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,14 @@ def test_first_violation_is_lexicographic():
     assert (verdict.write, verdict.cell, verdict.cost) == (2, 3, 4)
 
 
+def test_checker_counts_past_sixteen_bits():
+    # every cell flips on every write: the 300 x 300 window costs 90,000
+    ws = WriteSequence([(k % 2,) * 300 for k in range(301)])
+    verdict = check_constraint(ws, ConstraintParams(300, 300, 89_999))
+    assert (verdict.write, verdict.cell, verdict.cost) == (1, 1, 90_000)
+    assert check_constraint(ws, ConstraintParams(300, 300, 90_000)).satisfied
+
+
 def test_verdict_is_truthy_only_when_satisfied():
     ws = WriteSequence([(0, 0), (1, 1)])
     assert bool(check_constraint(ws, ConstraintParams(1, 2, 2)))
@@ -211,3 +221,15 @@ def test_simulate_is_deterministic():
     assert a.trace == b.trace and a.messages == b.messages
     assert a.round_trip_ok
     assert simulate(code, 30, seed=6).messages != a.messages
+
+
+# --- package ---------------------------------------------------------------
+
+def test_package_has_no_assert_statements():
+    """Runtime checks must raise: `python -O` strips assert statements."""
+    src = Path(__file__).resolve().parent.parent / "src" / "tscc"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
