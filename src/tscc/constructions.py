@@ -442,11 +442,10 @@ class TimePCode(RewritingCode):
     all-zero after a descending-start one, and the next period starts
     in the opposite direction.
 
-    A phase begins where the previous one stopped, which is not the
-    all-zero epoch start a general write-once code assumes.  Use a
-    write-once code whose writes each touch a fixed cell regardless of
-    the starting state (BitPerWriteWom); RsWom only fits the explicit
-    resets of TimeCode.
+    For p >= 2 a phase begins where the previous one stopped, which is
+    not the all-zero epoch start a general write-once code assumes, so
+    the code must work from any state (BitPerWriteWom); RsWom only fits
+    p = 1 and the explicit resets of TimeCode.
 
     When alpha + t < p * t + 1 the period cannot hold the reset; build
     through timep_code(), which falls back to the smallest schedule
@@ -460,6 +459,10 @@ class TimePCode(RewritingCode):
             schedule_alpha = alpha
         if schedule_alpha < alpha:
             raise ValueError("schedule window cannot be tighter than the declared alpha")
+        if p >= 2 and not isinstance(wom, BitPerWriteWom):
+            raise ValueError(
+                f"with p >= 2 each phase starts where the last one stopped, which "
+                f"only BitPerWriteWom supports; got {type(wom).__name__}")
         t = wom.writes
         if schedule_alpha + t < p * t + 1:
             raise ValueError(

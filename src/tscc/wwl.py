@@ -5,12 +5,13 @@ of beta contiguous bits holds at most p ones; vectors shorter than beta
 must have total weight at most p.  These are exactly the flip patterns
 a single write may apply under a (1, beta, p) budget.
 
-The set of such vectors of a given length is counted and indexed here:
-admissible prefixes of length beta-1 form the states of a transfer
-graph, counts follow from iterating its transition matrix, the capacity
-is log2 of its dominant eigenvalue, and rank/unrank convert between a
-vector and its 1-based position in the value-ordered enumeration using
-O(n) count-table lookups.
+One transfer graph counts and indexes them: its states are the
+admissible prefixes of length beta-1 as ints (cell 1 the most
+significant bit), each with the successor list of states it slides into
+by one bit.  Counts iterate the successor lists, the capacity is log2
+of the graph's dominant eigenvalue, and rank/unrank convert between a
+vector and its 1-based position in value order using O(n) count-table
+lookups.  The tuple state set and the dense matrix are views of it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log2
 
-from .core import Bits, ConvergenceError, hamming_weight, psi
+from .core import Bits, ConvergenceError, ResourceLimitError, bits_from_int
+
+# Entries one graph build may hold: two successor slots per state in the
+# transfer graph, M * M in the dense transition-matrix view.
+MAX_GRAPH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,28 +55,46 @@ def is_wwl(params: WwlParams, bits: Bits) -> bool:
     return True
 
 
-def build_state_set(params: WwlParams):
-    """All length-(beta-1) vectors of weight <= p, sorted by increasing value.
-
-    These are the admissible prefixes; their 1-based position in this
-    ordering is the state index used everywhere else.  For beta = 1 the
-    set is the single empty prefix.
-    """
-    width = params.beta - 1
-    states = []
-    for w in range(min(params.p, width) + 1):
-        for ones in combinations(range(width), w):
-            v = [0] * width
-            for i in ones:
-                v[i] = 1
-            states.append(tuple(v))
-    states.sort(key=psi)
-    return tuple(states)
-
-
 def state_count(params: WwlParams) -> int:
     """Closed form for the number of admissible prefixes."""
     return sum(comb(params.beta - 1, i) for i in range(min(params.p, params.beta - 1) + 1))
+
+
+def _require_entries(params: WwlParams, entries: int, what: str):
+    if entries > MAX_GRAPH_ENTRIES:
+        raise ResourceLimitError(
+            f"({params.beta},{params.p}) {what} needs {entries} entries, over the "
+            f"limit of {MAX_GRAPH_ENTRIES}")
+
+
+def _transfer_graph(params: WwlParams):
+    """The admissible-prefix graph as (states, successors).
+
+    states: every length-(beta-1) prefix of weight <= p as an int, in
+    increasing order.  successors[i]: the 0-based indices of
+    ((s << 1) | b) & mask, b = 1 only while s has fewer than p ones.
+    For beta = 1 the empty prefix 0 gets a double self-loop.
+    """
+    _require_entries(params, 2 * state_count(params), "transfer graph")
+    width = params.beta - 1
+    mask = (1 << width) - 1
+    states = sorted(sum(1 << i for i in ones)
+                    for w in range(min(params.p, width) + 1)
+                    for ones in combinations(range(width), w))
+    index = {s: k for k, s in enumerate(states)}
+    successors = [(index[(s << 1) & mask], index[((s << 1) | 1) & mask])
+                  if s.bit_count() < params.p else (index[(s << 1) & mask],)
+                  for s in states]
+    return states, successors
+
+
+def build_state_set(params: WwlParams):
+    """The admissible prefixes as 0/1 tuples, in state-index (value) order.
+
+    For beta = 1 the set is the single empty prefix.
+    """
+    states, _ = _transfer_graph(params)
+    return tuple(bits_from_int(s, params.beta - 1) for s in states)
 
 
 def merge(u: Bits, v: Bits):
@@ -91,26 +114,18 @@ def merge(u: Bits, v: Bits):
 
 
 def build_transition_matrix(params: WwlParams):
-    """Adjacency of the admissible-prefix graph.
+    """Dense view of the transfer graph: [i][j] counts the bits taking i to j.
 
-    Entry [i][j] is 1 when state j continues state i by one bit and the
-    merged beta-window keeps weight <= p.  Every row has at most two
-    ones since a prefix extends by a 0 or a 1 only.  For beta = 1 the
-    single empty prefix extends by either bit, giving the 1x1 matrix
-    [[2]]; this keeps the count recursion and capacity exact in the
-    degenerate case.
+    Entry [i][j] is 1 when the merged beta-window keeps weight <= p; for
+    beta = 1 the double self-loop gives the 1x1 matrix [[2]].
     """
-    if params.beta == 1:
-        return [[2]]
-    states = build_state_set(params)
-    index = {s: k for k, s in enumerate(states)}
-    m = len(states)
+    m = state_count(params)
+    _require_entries(params, m * m, "dense transition matrix")
+    _, successors = _transfer_graph(params)
     a = [[0] * m for _ in range(m)]
-    for i, s in enumerate(states):
-        w = hamming_weight(s)
-        a[i][index[s[1:] + (0,)]] = 1
-        if w < params.p:
-            a[i][index[s[1:] + (1,)]] = 1
+    for i, nxt in enumerate(successors):
+        for j in nxt:
+            a[i][j] += 1
     return a
 
 
@@ -133,25 +148,19 @@ def _adjacency(matrix):
 
 def is_irreducible(matrix) -> bool:
     """True when the directed graph of positive entries is strongly connected."""
-    adj = _adjacency(matrix)
+    successors = [[j for j, _ in row] for row in _adjacency(matrix)]
     m = len(matrix)
-    rev = [[] for _ in range(m)]
-    for i, entries in enumerate(adj):
-        for j, _ in entries:
-            rev[j].append(i)
+    predecessors = [[i for i in range(m) if matrix[i][j]] for j in range(m)]
 
-    def reaches_all(start, nbrs):
-        seen = {start}
-        stack = [start]
+    def reaches_all(nbrs):
+        seen, stack = {0}, [0]
         while stack:
-            i = stack.pop()
-            for j in (x[0] for x in nbrs[i]) if nbrs is adj else nbrs[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
+            new = set(nbrs[stack.pop()]) - seen
+            seen |= new
+            stack.extend(new)
         return len(seen) == m
 
-    return reaches_all(0, adj) and reaches_all(0, rev)
+    return reaches_all(successors) and reaches_all(predecessors)
 
 
 @dataclass(frozen=True)
@@ -167,20 +176,9 @@ class EigenEstimate:
         return self.upper - self.lower
 
 
-def dominant_eigenvalue(matrix, tol: float = 1e-9, max_iter: int = 10 ** 6) -> EigenEstimate:
-    """Power iteration with min/max ratio brackets around lambda_max.
-
-    Requires a nonnegative irreducible matrix.  Each iterate v > 0
-    yields min_i (Av)_i / v_i <= lambda_max <= max_i (Av)_i / v_i; the
-    brackets from successive iterates are intersected and the method
-    stops once the bracket is narrower than tol.  Exceeding max_iter
-    raises ConvergenceError carrying the best bracket so far.
-    """
-    if not is_irreducible(matrix):
-        raise ValueError("dominant_eigenvalue requires an irreducible matrix")
-    adj = _adjacency(matrix)
-    m = len(matrix)
-    v = [1.0] * m
+def _power_bracket(adj, tol: float, max_iter: int) -> EigenEstimate:
+    """Power iteration over (column, weight) rows of an irreducible matrix."""
+    v = [1.0] * len(adj)
     best_lo, best_hi = 0.0, float("inf")
     for it in range(1, max_iter + 1):
         w = [sum(a * v[j] for j, a in row) for row in adj]
@@ -196,6 +194,20 @@ def dominant_eigenvalue(matrix, tol: float = 1e-9, max_iter: int = 10 ** 6) -> E
     raise ConvergenceError(
         f"eigenvalue bracket still {best_hi - best_lo:g} wide after {max_iter} iterations",
         estimate=EigenEstimate(best_lo, best_hi, max_iter))
+
+
+def dominant_eigenvalue(matrix, tol: float = 1e-9, max_iter: int = 10 ** 6) -> EigenEstimate:
+    """Power iteration with min/max ratio brackets around lambda_max.
+
+    Requires a nonnegative irreducible matrix.  Each iterate v > 0
+    yields min_i (Av)_i / v_i <= lambda_max <= max_i (Av)_i / v_i; the
+    brackets from successive iterates are intersected and the method
+    stops once the bracket is narrower than tol.  Exceeding max_iter
+    raises ConvergenceError carrying the best bracket so far.
+    """
+    if not is_irreducible(matrix):
+        raise ValueError("dominant_eigenvalue requires an irreducible matrix")
+    return _power_bracket(_adjacency(matrix), tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -216,9 +228,14 @@ class CapacityBracket:
 
 
 def wwl_capacity(params: WwlParams, tol: float = 1e-9) -> CapacityBracket:
-    """Capacity bracket log2(lambda) of the admissible-prefix graph."""
-    eigen = dominant_eigenvalue(build_transition_matrix(params), tol=tol)
-    return CapacityBracket(params=params, states=state_count(params), eigen=eigen)
+    """Capacity bracket log2(lambda), by power iteration on the successor lists.
+
+    The graph is irreducible: zeros lead any state to 0, and a state's
+    own bits lead 0 to it.
+    """
+    states, successors = _transfer_graph(params)
+    eigen = _power_bracket([[(j, 1) for j in nxt] for nxt in successors], tol, 10 ** 6)
+    return CapacityBracket(params=params, states=len(states), eigen=eigen)
 
 
 class CountTable:
@@ -227,9 +244,10 @@ class CountTable:
     X(L, k) is the number of admissible vectors of length L whose first
     beta-1 bits equal state k (1-based, value order).  Rows run from
     L = beta-1, where every entry is 1, up to L = n + beta - 2, the
-    largest length rank() can ask for on vectors of length n.  Rows
-    satisfy x(L+1) = A x(L) with A the transition matrix; entries are
-    exact Python integers.  Instances are immutable once built.
+    largest length rank() can ask for on vectors of length n.  Each row
+    sums the previous one over the successor lists, in exact integers;
+    `index` maps a state int to its 1-based index.  Instances are
+    immutable once built.
     """
 
     def __init__(self, params: WwlParams, n: int):
@@ -239,11 +257,12 @@ class CountTable:
         self.n = n
         self.min_length = params.beta - 1
         self.max_length = n + params.beta - 2
-        adj = _adjacency(build_transition_matrix(params))
-        row = [1] * len(adj)
+        states, successors = _transfer_graph(params)
+        self.index = {s: k for k, s in enumerate(states, start=1)}
+        row = [1] * len(states)
         rows = [row]
         for _ in range(self.min_length, self.max_length):
-            row = [sum(a * row[j] for j, a in entries) for entries in adj]
+            row = [sum(row[j] for j in nxt) for nxt in successors]
             rows.append(row)
         self._rows = rows
 
@@ -276,11 +295,7 @@ def count_wwl(params: WwlParams, n: int) -> int:
         raise ValueError("n must be >= 1")
     if n < params.beta - 1:
         return sum(comb(n, i) for i in range(min(params.p, n) + 1))
-    adj = _adjacency(build_transition_matrix(params))
-    row = [1] * len(adj)
-    for _ in range(params.beta - 1, n):
-        row = [sum(a * row[j] for j, a in entries) for entries in adj]
-    return sum(row)
+    return CountTable(params, n - params.beta + 2).row_sum(n)
 
 
 def enumerate_wwl(params: WwlParams, n: int):
@@ -288,28 +303,12 @@ def enumerate_wwl(params: WwlParams, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     beta, p = params.beta, params.p
-    out = []
-    prefix = []
-
-    def extend():
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        prefix.append(0)
-        extend()
-        prefix.pop()
+    vectors = [()]
+    for k in range(n):
         # appending a 1 is allowed when the window ending here stays within budget
-        if sum(prefix[max(0, len(prefix) - beta + 1):]) + 1 <= p:
-            prefix.append(1)
-            extend()
-            prefix.pop()
-
-    extend()
-    return out
-
-
-def _state_index_map(params: WwlParams):
-    return {s: k for k, s in enumerate(build_state_set(params), start=1)}
+        vectors = [v + (b,) for v in vectors for b in (0, 1)
+                   if not b or sum(v[max(0, k - beta + 1):]) < p]
+    return vectors
 
 
 def _require_table(params: WwlParams, n: int, table):
@@ -327,7 +326,8 @@ def rank(params: WwlParams, c: Bits, table: CountTable | None = None) -> int:
 
     Scans c once; each 1 at position j adds the number of admissible
     vectors that agree with c before j and have a 0 there, read off the
-    count table in O(1) per lookup (O(n) lookups total).
+    count table in O(1) per lookup (O(n) lookups total); with `prefix`
+    the beta-1 bits before j, their state is (prefix << 1) & mask.
     """
     c = tuple(c)
     n = len(c)
@@ -340,20 +340,12 @@ def rank(params: WwlParams, c: Bits, table: CountTable | None = None) -> int:
                          f"({params.beta},{params.p}) window limit")
     table = _require_table(params, n, table)
     beta = params.beta
-    index = _state_index_map(params)
-    cnt = 0
-    for j in range(1, n + 1):
-        if c[j - 1] == 0:
-            continue
-        if beta == 1:
-            k = 1
-        else:
-            # prefix state: the beta-2 bits left of j, left-padded with
-            # zeros, then a 0 in place of the 1 at j
-            left = c[max(0, j - 1 - (beta - 2)):j - 1]
-            d = (0,) * (beta - 2 - len(left)) + left + (0,)
-            k = index[d]
-        cnt += table.value(n - j + beta - 1, k)
+    mask = (1 << (beta - 1)) - 1
+    prefix = cnt = 0
+    for j, bit in enumerate(c, start=1):
+        if bit:
+            cnt += table.value(n - j + beta - 1, table.index[(prefix << 1) & mask])
+        prefix = ((prefix << 1) | bit) & mask
     return cnt + 1
 
 
@@ -372,25 +364,17 @@ def unrank(params: WwlParams, n: int, m: int, table: CountTable | None = None) -
         raise ValueError(f"m must be in [1:{total}] for n={n}, got {m}")
     table = _require_table(params, n, table)
     beta = params.beta
-    index = _state_index_map(params) if beta > 1 else None
+    mask = (1 << (beta - 1)) - 1
     c = [0] * n
-    cnt = 0
+    prefix = cnt = 0
     for i in range(1, n + 1):
-        if sum(c[max(0, i - beta):i - 1]) + 1 > params.p:
-            continue
-        if beta == 1:
-            k = 1
-        else:
-            left = c[max(0, i - 1 - (beta - 2)):i - 1]
-            d = (0,) * (beta - 2 - len(left)) + tuple(left) + (0,)
-            k = index[d]
-        cnt_try = cnt + table.value(n - i + beta - 1, k)
-        if cnt_try + 1 == m:
-            c[i - 1] = 1
-            return tuple(c)
-        if cnt_try + 1 < m:
-            c[i - 1] = 1
-            cnt = cnt_try
+        bit = 0
+        if prefix.bit_count() < params.p:
+            cnt_try = cnt + table.value(n - i + beta - 1, table.index[(prefix << 1) & mask])
+            if cnt_try < m:
+                c[i - 1] = bit = 1
+                cnt = cnt_try
+        prefix = ((prefix << 1) | bit) & mask
     if cnt + 1 != m:
         raise RuntimeError(f"unrank bookkeeping broke: reached rank {cnt + 1}, wanted {m}")
     return tuple(c)

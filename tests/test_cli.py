@@ -61,6 +61,57 @@ def test_capacity_schema(capsys):
     assert got["lambda_lower"] <= phi <= got["lambda_upper"]
 
 
+# `tscc capacity wwl` output recorded before the transfer graph moved from a
+# dense matrix to successor lists; the floats must not move by one ulp.
+CAPACITY_GOLDEN = {
+    (1, 1): '{"M": 1, "beta": 1, "capacity_lower": 1.0, "capacity_upper": 1.0, '
+            '"iterations": 1, "lambda_lower": 2.0, "lambda_upper": 2.0, "p": 1}',
+    (2, 1): '{"M": 2, "beta": 2, "capacity_lower": 0.6942419131450601, '
+            '"capacity_upper": 0.6942419138160836, "iterations": 23, '
+            '"lambda_lower": 1.6180339882053252, "lambda_upper": 1.6180339889579018, '
+            '"p": 1}',
+    (8, 4): '{"M": 99, "beta": 8, "capacity_lower": 0.8526982670904806, '
+            '"capacity_upper": 0.8526982676942662, "iterations": 75, '
+            '"lambda_lower": 1.8058752904474042, "lambda_upper": 1.8058752912031852, '
+            '"p": 4}',
+    (10, 5): '{"M": 382, "beta": 10, "capacity_lower": 0.8732468002872565, '
+             '"capacity_upper": 0.8732468010396848, "iterations": 91, '
+             '"lambda_lower": 1.8317807067878205, "lambda_upper": 1.8317807077431738, '
+             '"p": 5}',
+    (12, 4): '{"M": 562, "beta": 12, "capacity_lower": 0.7116514815087076, '
+             '"capacity_upper": 0.7116514823854159, "iterations": 146, '
+             '"lambda_lower": 1.6376777265723022, "lambda_upper": 1.637677727567499, '
+             '"p": 4}',
+    (14, 3): '{"M": 378, "beta": 14, "capacity_lower": 0.5332581984566959, '
+             '"capacity_upper": 0.533258199402097, "iterations": 212, '
+             '"lambda_lower": 1.4471938663044073, "lambda_upper": 1.4471938672527564, '
+             '"p": 3}',
+}
+
+
+@pytest.mark.parametrize("beta,p", sorted(CAPACITY_GOLDEN))
+def test_capacity_golden_output(capsys, beta, p):
+    code, out, _ = run_cli(capsys, "capacity", "wwl", "--beta", str(beta), "--p", str(p))
+    assert code == 0 and out == CAPACITY_GOLDEN[beta, p] + "\n"
+
+
+def test_capacity_over_graph_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "capacity", "wwl", "--beta", "40", "--p", "20")
+    assert code == 2 and out == ""
+    assert "limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("construction", [
+    ("timep", "--alpha", "4", "--p", "2"),
+    ("dilute-space", "--alpha", "4", "--beta", "3", "--p", "2"),
+])
+def test_simulate_rejects_rs_wom_for_several_phases(capsys, construction):
+    code, out, err = run_cli(capsys, "simulate", "--construction", *construction,
+                             "--writes", "20", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "BitPerWriteWom" in err and "Traceback" not in err
+
+
 def test_count_is_plain_decimal_for_big_n(capsys):
     code, out, _ = run_cli(capsys, "count", "--beta", "2", "--p", "1", "--n", "300")
     assert code == 0

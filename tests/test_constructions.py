@@ -289,6 +289,19 @@ def test_timep_grid(alpha, p, t):
     assert_valid_run(timep_code(alpha, p, BitPerWriteWom(t)), periods=4)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_timep_rejects_zero_start_wom_when_built(p):
+    """Phases after the first start mid-epoch, which RsWom cannot do."""
+    with pytest.raises(ValueError, match="BitPerWriteWom"):
+        TimePCode(8, p, RsWom())
+    with pytest.raises(ValueError, match="BitPerWriteWom"):
+        timep_code(4, p, RsWom())
+
+
+def test_timep_single_phase_keeps_rs_wom():
+    assert_valid_run(timep_code(4, 1, RsWom()), periods=4)
+
+
 # --- dilutions ---------------------------------------------------------------
 
 def test_diluted_time_stretches_constraint():

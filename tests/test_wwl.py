@@ -1,11 +1,13 @@
+import gc
 import math
 from itertools import product
 
 import pytest
+import tscc.wwl as wwl_mod
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tscc.core import ConvergenceError, all_zero, psi
+from tscc.core import ConvergenceError, ResourceLimitError, all_zero, psi
 from tscc.wwl import (CountTable, WwlParams, build_state_set,
                       build_transition_matrix, count_wwl, dominant_eigenvalue,
                       enumerate_wwl, is_irreducible, is_wwl, merge, rank,
@@ -143,6 +145,17 @@ def test_count_matches_enumeration(beta, p):
         assert all(is_wwl(params, v) for v in vectors)
 
 
+def test_enumeration_leaves_no_cyclic_garbage():
+    """The vectors are freed with the list, not held until a full collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_wwl(WwlParams(4, 2), 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumeration_is_value_ordered():
     vectors = enumerate_wwl(WwlParams(3, 2), 6)
     values = [psi(v) for v in vectors]
@@ -269,6 +282,36 @@ def test_codec_does_linear_lookups(n):
     table.lookups = 0
     assert rank(params, v, table) == m
     assert table.lookups <= n
+
+
+def test_rank_with_shared_table_builds_no_graph(monkeypatch):
+    """A shared table carries the state index: rank builds nothing per call."""
+    params = WwlParams(6, 3)
+    table = CountTable(params, 10)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rank rebuilt the state set or transfer graph")
+
+    for builder in ("_transfer_graph", "build_state_set", "build_transition_matrix"):
+        monkeypatch.setattr(wwl_mod, builder, boom)
+    assert rank(params, (1, 0, 1, 1, 0, 0, 1, 0, 0, 1), table) == 353
+
+
+def test_graph_limit_raises_before_building(monkeypatch):
+    monkeypatch.setattr(wwl_mod, "combinations", None)  # any build would fail
+    with pytest.raises(ResourceLimitError):
+        CountTable(WwlParams(40, 20), 4)
+    with pytest.raises(ResourceLimitError):
+        wwl_capacity(WwlParams(40, 20))
+    with pytest.raises(ResourceLimitError):
+        build_transition_matrix(WwlParams(16, 8))  # 22,819 squared entries
+
+
+def test_capacity_reaches_beta_16():
+    cap = wwl_capacity(WwlParams(16, 8))
+    assert cap.states == 22819
+    assert cap.eigen.width <= 1e-9
+    assert 0.0 < cap.lower <= cap.upper < 1.0
 
 
 def test_capacity_bracket_orders():
