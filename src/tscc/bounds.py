@@ -13,17 +13,19 @@ the write-once time schedules, and dilutions of the one-sided optima.
 
 count_2d_arrays counts binary arrays whose every a-by-b window has at
 most p ones: the two-dimensional relaxation whose normalized log is an
-upper bound on any rate measured over the same span.
+upper bound on any rate measured over the same span.  It counts walks
+on the strip graph whose width-1 case is the WWL codec's transfer graph.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache, partial
 from math import ceil, log2
 
 from .core import ResourceLimitError
-from .wwl import WwlParams, wwl_capacity
+from .wwl import WwlParams, _strip_graph, _walk_rows, wwl_capacity
 
 # published numeric upper bounds for the two smallest genuinely
 # two-dimensional cases; served verbatim, never recomputed
@@ -44,13 +46,18 @@ def _validate(alpha, beta, p):
 
 def upper_bound(alpha: int, beta: int, p: int, tol: float = 1e-9):
     """Capacity upper bound and its provenance tag."""
+    return _upper_bound(alpha, beta, p, partial(wwl_capacity, tol=tol))
+
+
+def _upper_bound(alpha, beta, p, capacity):
+    """upper_bound with capacity(WwlParams) -> CapacityBracket supplied."""
     _validate(alpha, beta, p)
     if p >= alpha * beta:
         return 1.0, "vacuous-1"
     if alpha == 1:
-        return wwl_capacity(WwlParams(beta, p), tol).upper, "wwl-alpha1"
+        return capacity(WwlParams(beta, p)).upper, "wwl-alpha1"
     if beta == 1:
-        return wwl_capacity(WwlParams(alpha, p), tol).upper, "wwl-beta1"
+        return capacity(WwlParams(alpha, p)).upper, "wwl-beta1"
     if (alpha, beta, p) in REFERENCE_2D:
         return REFERENCE_2D[(alpha, beta, p)], "2d-reference"
     return 1.0, "vacuous-1"
@@ -88,12 +95,17 @@ def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False,
     t_opt is the write-once epoch length behind a time-construction
     value, None otherwise.
     """
+    return _lower_bound(alpha, beta, p, use_coset, partial(wwl_capacity, tol=tol))
+
+
+def _lower_bound(alpha, beta, p, use_coset, capacity):
+    """lower_bound with capacity(WwlParams) -> CapacityBracket supplied."""
     _validate(alpha, beta, p)
     if p >= alpha * beta:
         return 1.0, "trivial", None
     candidates = [(p / (alpha * beta), "trivial", None)]
     if alpha == 1:
-        cap = wwl_capacity(WwlParams(beta, p), tol).lower
+        cap = capacity(WwlParams(beta, p)).lower
         candidates.append((cap / 2, "space-construction", None))
         if use_coset:
             candidates.append((cap, "coset", None))
@@ -101,8 +113,8 @@ def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False,
         v, t = _best_time_rate(alpha, p)
         candidates.append((v, "time-construction", t))
     else:
-        v_time, _, t = lower_bound(alpha, 1, p, use_coset=use_coset, tol=tol)
-        v_space, _, _ = lower_bound(1, beta, p, use_coset=use_coset, tol=tol)
+        v_time, _, t = _lower_bound(alpha, 1, p, use_coset, capacity)
+        v_space, _, _ = _lower_bound(1, beta, p, use_coset, capacity)
         candidates.append((v_time / beta, "dilution", t))
         candidates.append((v_space / alpha, "dilution", None))
     best = candidates[0]
@@ -157,21 +169,20 @@ def _max_state_bits(override):
 
 def count_2d_arrays(a: int, b: int, p: int, m: int, n: int,
                     max_state_bits: int | None = None) -> Array2DCount:
-    """Exact transfer-matrix count over row-by-row states.
+    """Exact count: walks of length m-a+1 on the (a, b, p, n) strip graph.
 
-    The scan keeps the last a-1 rows as the DP state and checks every
-    a-by-b window when its bottom row is placed, so each window is
-    tested exactly once.  The orientation with the smaller state is
-    chosen automatically (the count is transpose-invariant); the state
-    width (a-1)*n is capped at max_state_bits, default 24, overridable
-    via the TSCC_MAX_STATE_BITS environment variable.
+    Arrays with no complete window, or a budget p >= a*b, all count, at
+    once.  The orientation with the smaller state is chosen
+    automatically (the count is transpose-invariant); the state width
+    (a-1)*n is capped at max_state_bits, default 24, overridable via
+    the TSCC_MAX_STATE_BITS environment variable, and the graph build
+    at wwl.MAX_GRAPH_ENTRIES.
     """
     _validate(a, b, p)
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     result_args = dict(a=a, b=b, p=p, m=m, n=n)
-    if m < a or n < b:
-        # no complete window exists, every array qualifies
+    if m < a or n < b or p >= a * b:
         return Array2DCount(count=1 << (m * n), **result_args)
     if (a - 1) * n > (b - 1) * m:
         a, b, m, n = b, a, n, m
@@ -182,39 +193,8 @@ def count_2d_arrays(a: int, b: int, p: int, m: int, n: int,
             f"raise {_ENV_STATE_BITS} to allow it")
     if n > 26:
         raise ResourceLimitError(f"row width {n} is over the hard limit of 26 bits")
-
-    rows = list(range(1 << n))
-    window_mask = (1 << b) - 1
-    offsets = range(n - b + 1)
-
-    def row_window_counts(r):
-        return tuple((r >> (n - b - j) & window_mask).bit_count() for j in offsets)
-
-    counts = [row_window_counts(r) for r in rows]
-
-    def band_ok(band):
-        for j in offsets:
-            if sum(counts[r][j] for r in band) > p:
-                return False
-        return True
-
-    if a == 1:
-        valid = sum(1 for r in rows if band_ok((r,)))
-        return Array2DCount(count=valid ** m, **result_args)
-
-    # state: tuple of the last a-1 rows; seed rows carry no complete window yet
-    dp = {(): 1}
-    for _ in range(a - 1):
-        dp = {state + (r,): c for state, c in dp.items() for r in rows}
-    for _ in range(a - 1, m):
-        nxt = {}
-        for state, c in dp.items():
-            for r in rows:
-                if band_ok(state + (r,)):
-                    key = state[1:] + (r,)
-                    nxt[key] = nxt.get(key, 0) + c
-        dp = nxt
-    return Array2DCount(count=sum(dp.values()), **result_args)
+    _, successors = _strip_graph(a, b, p, n)
+    return Array2DCount(count=sum(_walk_rows(successors, m - a + 1)[-1]), **result_args)
 
 
 def parse_grid(text: str):
@@ -239,30 +219,23 @@ def parse_grid(text: str):
     return ranges
 
 
-def _table_row(point):
-    alpha, beta, p, use_coset = point
-    r = bounds_report(alpha, beta, p, use_coset=use_coset)
-    t_opt = "" if r.t_opt is None else str(r.t_opt)
-    return (f"{alpha},{beta},{p},{t_opt},{r.lower:.6g},{r.upper:.6g},"
-            f"{r.lower_provenance}|{r.upper_provenance}")
-
-
-def emit_tables(grid, *, use_coset: bool = False, workers: int = 1) -> str:
+def emit_tables(grid, *, use_coset: bool = False) -> str:
     """CSV of bounds over a parameter grid, rows in grid order.
 
     grid is a parse_grid() mapping or its textual form.  Columns:
     alpha,beta,p,t_opt,lower,upper,provenance with provenance holding
-    the lower and upper tags joined by '|'.  Output is deterministic
-    for a given grid regardless of worker count.
+    the lower and upper tags joined by '|'.  Each distinct (beta, p)
+    capacity is computed once per call.
     """
     if isinstance(grid, str):
         grid = parse_grid(grid)
-    points = [(alpha, beta, p, use_coset)
-              for alpha in grid["alpha"] for beta in grid["beta"] for p in grid["p"]]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, points))
-    else:
-        rows = [_table_row(pt) for pt in points]
-    return "\n".join(["alpha,beta,p,t_opt,lower,upper,provenance"] + rows) + "\n"
+    capacity = cache(wwl_capacity)  # lives for this call only
+    rows = ["alpha,beta,p,t_opt,lower,upper,provenance"]
+    for alpha in grid["alpha"]:
+        for beta in grid["beta"]:
+            for p in grid["p"]:
+                lo, lo_prov, t_opt = _lower_bound(alpha, beta, p, use_coset, capacity)
+                hi, hi_prov = _upper_bound(alpha, beta, p, capacity)
+                t_opt = "" if t_opt is None else str(t_opt)
+                rows.append(f"{alpha},{beta},{p},{t_opt},{lo:.6g},{hi:.6g},{lo_prov}|{hi_prov}")
+    return "\n".join(rows) + "\n"

@@ -170,7 +170,7 @@ def cmd_bounds(args):
 
 
 def cmd_table(args):
-    csv = bounds_mod.emit_tables(args.grid, use_coset=args.coset, workers=args.workers)
+    csv = bounds_mod.emit_tables(args.grid, use_coset=args.coset)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)
@@ -270,7 +270,6 @@ def build_parser():
     q.add_argument("--grid", required=True, help="e.g. alpha=4:8,beta=1,p=1")
     q.add_argument("--out", help="output file (stdout when omitted)")
     q.add_argument("--coset", action="store_true")
-    q.add_argument("--workers", type=int, default=1)
     q.set_defaults(func=cmd_table)
 
     q = sub.add_parser("count2d", help="count arrays with bounded window weight")

@@ -11,19 +11,22 @@ significant bit), each with the successor list of states it slides into
 by one bit.  Counts iterate the successor lists, the capacity is log2
 of the graph's dominant eigenvalue, and rank/unrank convert between a
 vector and its 1-based position in value order using O(n) count-table
-lookups.  The tuple state set and the dense matrix are views of it.
+lookups.  The tuple state set and the dense matrix are views of it, and
+it is the width-1 case of the strip graph that counts 2D arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, log2
+
+import numpy as np
 
 from .core import Bits, ConvergenceError, ResourceLimitError, bits_from_int
 
 # Entries one graph build may hold: two successor slots per state in the
-# transfer graph, M * M in the dense transition-matrix view.
+# transfer graph, M * M in the dense view, a strip graph's row-weight
+# table and each of its state-by-row scans.
 MAX_GRAPH_ENTRIES = 1 << 20
 
 
@@ -60,32 +63,83 @@ def state_count(params: WwlParams) -> int:
     return sum(comb(params.beta - 1, i) for i in range(min(params.p, params.beta - 1) + 1))
 
 
-def _require_entries(params: WwlParams, entries: int, what: str):
+def _require_entries(entries: int, what: str):
     if entries > MAX_GRAPH_ENTRIES:
         raise ResourceLimitError(
-            f"({params.beta},{params.p}) {what} needs {entries} entries, over the "
-            f"limit of {MAX_GRAPH_ENTRIES}")
+            f"{what} needs {entries} entries, over the limit of {MAX_GRAPH_ENTRIES}")
+
+
+def _strip_rows(a: int, b: int, p: int, w: int):
+    """Rows of width w whose every b-wide window holds <= p ones.
+
+    Returns (rows, guard, bias), rows as (row, packed window weights)
+    in row order.  A field holds any sum of a rows' weights without
+    carry; adding bias sets its top bit, in guard, exactly when the sum
+    exceeds p.
+    """
+    field = (a * b).bit_length() + 1
+    spans = range(w - b + 1)
+    ones = sum(1 << (field * j) for j in spans)
+    guard = ones << (field - 1)
+    bias = ((1 << (field - 1)) - 1 - p) * ones
+    window = (1 << b) - 1
+    rows = []
+    for r in range(1 << w):
+        packed = sum(((r >> j) & window).bit_count() << (field * j) for j in spans)
+        if not (packed + bias) & guard:
+            rows.append((r, packed))
+    return rows, guard, bias
+
+
+def _strip_graph(a: int, b: int, p: int, w: int):
+    """The window-constrained strip graph as (states, successors).
+
+    A state is the last a-1 rows of a width-w strip as one int, oldest
+    row high, kept when its every (a-1)-by-b window holds <= p ones (in
+    an array of >= a rows each such block lies in a full window).
+    States come in increasing order; successors[i], in increasing
+    new-row order, reach the states whose appended row keeps every
+    a-by-b window of the band <= p.  The row-weight table and each
+    state-by-row scan are checked against MAX_GRAPH_ENTRIES first.
+    """
+    what = f"({a},{b},{p}) strip graph of width {w}"
+    _require_entries((1 << w) * (w - b + 1), f"{what}: row-weight table")
+    rows, guard, bias = _strip_rows(a, b, p, w)
+    scan = f"{what}: state-by-row scan"
+    # (state, packed window sums of its rows + bias), grown one row at a time
+    level = [(0, bias)]
+    for _ in range(a - 1):
+        _require_entries(len(level) * len(rows), scan)
+        level = [((s << w) | r, t + u) for s, t in level for r, u in rows
+                 if not (t + u) & guard]
+    _require_entries(len(level) * len(rows), scan)
+    index = {s: k for k, (s, _) in enumerate(level)}
+    mask = (1 << (w * (a - 1))) - 1
+    successors = [tuple([index[((s << w) | r) & mask] for r, u in rows if not (t + u) & guard])
+                  for s, t in level]
+    return list(index), successors
 
 
 def _transfer_graph(params: WwlParams):
-    """The admissible-prefix graph as (states, successors).
+    """The admissible-prefix graph, the (beta, 1, p, 1) strip graph.
 
-    states: every length-(beta-1) prefix of weight <= p as an int, in
-    increasing order.  successors[i]: the 0-based indices of
-    ((s << 1) | b) & mask, b = 1 only while s has fewer than p ones.
-    For beta = 1 the empty prefix 0 gets a double self-loop.
+    States are the (beta-1)-bit prefixes of weight <= p; successors[i]
+    go to ((s << 1) | b) & mask, b = 1 only while s has fewer than p
+    ones.  For beta = 1 the empty prefix 0 gets a double self-loop.
     """
-    _require_entries(params, 2 * state_count(params), "transfer graph")
-    width = params.beta - 1
-    mask = (1 << width) - 1
-    states = sorted(sum(1 << i for i in ones)
-                    for w in range(min(params.p, width) + 1)
-                    for ones in combinations(range(width), w))
-    index = {s: k for k, s in enumerate(states)}
-    successors = [(index[(s << 1) & mask], index[((s << 1) | 1) & mask])
-                  if s.bit_count() < params.p else (index[(s << 1) & mask],)
-                  for s in states]
-    return states, successors
+    _require_entries(2 * state_count(params),
+                     f"({params.beta},{params.p}) transfer graph")
+    return _strip_graph(params.beta, 1, params.p, 1)
+
+
+def _walk_rows(successors, steps: int):
+    """Row k: the exact number of k-step walks from each state."""
+    row = [1] * len(successors)
+    rows = [row]
+    for _ in range(steps):
+        row = [sum([row[j] for j in nxt]) for nxt in successors]
+        rows.append(row)
+    return rows
 
 
 def build_state_set(params: WwlParams):
@@ -120,7 +174,7 @@ def build_transition_matrix(params: WwlParams):
     beta = 1 the double self-loop gives the 1x1 matrix [[2]].
     """
     m = state_count(params)
-    _require_entries(params, m * m, "dense transition matrix")
+    _require_entries(m * m, f"({params.beta},{params.p}) dense transition matrix")
     _, successors = _transfer_graph(params)
     a = [[0] * m for _ in range(m)]
     for i, nxt in enumerate(successors):
@@ -177,20 +231,34 @@ class EigenEstimate:
 
 
 def _power_bracket(adj, tol: float, max_iter: int) -> EigenEstimate:
-    """Power iteration over (column, weight) rows of an irreducible matrix."""
-    v = [1.0] * len(adj)
+    """Power iteration over (column, weight) rows of an irreducible matrix.
+
+    Rows are padded with weight-0 references to a zero slot after v, so
+    a step is one numpy gather per column position, added left to right:
+    the IEEE operations, in order, of summing each row in Python.
+    """
+    size = len(adj)
+    depth = max(1, max(map(len, adj)))
+    pad = [(size, 0)] * depth
+    table = np.array([row + pad[len(row):] for row in adj], dtype=np.float64)
+    index = np.ascontiguousarray(table[:, :, 0].T, dtype=np.intp)
+    weight = np.ascontiguousarray(table[:, :, 1].T)
+    v = np.ones(size + 1)
+    v[size] = 0.0
     best_lo, best_hi = 0.0, float("inf")
     for it in range(1, max_iter + 1):
-        w = [sum(a * v[j] for j, a in row) for row in adj]
-        ratios = [wi / vi for wi, vi in zip(w, v)]
-        best_lo = max(best_lo, min(ratios))
-        best_hi = min(best_hi, max(ratios))
+        w = weight[0] * v[index[0]]
+        for k in range(1, depth):
+            w += weight[k] * v[index[k]]
+        ratios = w / v[:size]
+        best_lo = max(best_lo, float(ratios.min()))
+        best_hi = min(best_hi, float(ratios.max()))
         if best_hi - best_lo <= tol:
             return EigenEstimate(best_lo, best_hi, it)
-        scale = max(w)
+        scale = w.max()
         if scale <= 0:
             raise ValueError("matrix has a zero row reachable from all states")
-        v = [wi / scale for wi in w]
+        v[:size] = w / scale
     raise ConvergenceError(
         f"eigenvalue bracket still {best_hi - best_lo:g} wide after {max_iter} iterations",
         estimate=EigenEstimate(best_lo, best_hi, max_iter))
@@ -259,12 +327,7 @@ class CountTable:
         self.max_length = n + params.beta - 2
         states, successors = _transfer_graph(params)
         self.index = {s: k for k, s in enumerate(states, start=1)}
-        row = [1] * len(states)
-        rows = [row]
-        for _ in range(self.min_length, self.max_length):
-            row = [sum(row[j] for j in nxt) for nxt in successors]
-            rows.append(row)
-        self._rows = rows
+        self._rows = _walk_rows(successors, self.max_length - self.min_length)
 
     @property
     def states(self) -> int:

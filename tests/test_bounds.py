@@ -1,8 +1,12 @@
+import hashlib
 import math
+import time
 from itertools import product
 
 import pytest
 
+from tscc import bounds as bounds_mod
+from tscc import wwl as wwl_mod
 from tscc.core import ResourceLimitError
 from tscc.wwl import WwlParams, wwl_capacity
 from tscc.bounds import (bounds_report, count_2d_arrays, emit_tables,
@@ -179,13 +183,37 @@ def brute_2d(a, b, p, m, n):
     (3, 2, 2, 4, 3),   # transposed orientation internally
     (2, 2, 3, 3, 3),
     (1, 3, 2, 2, 5),
+    (3, 3, 1, 4, 4),
+    (2, 2, 2, 4, 4),
+    (4, 2, 1, 5, 3),
+    (2, 4, 2, 3, 5),
+    (3, 2, 3, 4, 4),
 ])
 def test_count_2d_matches_brute_force(a, b, p, m, n):
     assert count_2d_arrays(a, b, p, m, n).count == brute_2d(a, b, p, m, n)
 
 
+@pytest.mark.parametrize("a,b,p,m,n,count", [
+    (2, 2, 1, 8, 8, 1355115601),
+    (3, 3, 1, 6, 6, 2875),
+    (2, 2, 2, 7, 7, 516844071813),
+    (2, 3, 2, 7, 7, 6404266939),
+    (3, 3, 1, 8, 8, 704468),
+])
+def test_count_2d_golden(a, b, p, m, n, count):
+    assert count_2d_arrays(a, b, p, m, n).count == count
+
+
 def test_count_2d_unconstrained_window_is_free():
     assert count_2d_arrays(1, 1, 1, 2, 2).count == 16
+
+
+def test_count_2d_vacuous_budget_returns_at_once():
+    start = time.perf_counter()
+    got = count_2d_arrays(2, 2, 4, 20, 20)
+    assert time.perf_counter() - start < 1.0
+    assert got.count == 1 << 400
+    assert count_2d_arrays(2, 2, 9, 30, 30).count == 1 << 900  # past every size cap
 
 
 def test_count_2d_vacuous_sizes():
@@ -211,6 +239,17 @@ def test_count_2d_resource_limit():
         count_2d_arrays(4, 2, 1, 20, 20, max_state_bits=16)
     with pytest.raises(ResourceLimitError):
         count_2d_arrays(2, 2, 1, 30, 30)  # row width over the hard cap
+
+
+def test_count_2d_graph_limit_raises_before_building(monkeypatch):
+    monkeypatch.setattr(wwl_mod, "_strip_rows", None)  # any row table would fail
+    with pytest.raises(ResourceLimitError):
+        count_2d_arrays(2, 2, 1, 17, 17)  # 2^17 rows x 16 windows
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count_2d_arrays(3, 2, 5, 30, 11)  # 2,048 one-row states x 2,048 rows
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_2d_env_override(monkeypatch):
@@ -250,6 +289,23 @@ def test_emit_tables_golden_row():
     assert first[6] == "time-construction|wwl-beta1"
 
 
-def test_emit_tables_workers_deterministic():
-    grid = "alpha=1:3,beta=1:3,p=1:2"
-    assert emit_tables(grid, workers=2) == emit_tables(grid)
+def test_emit_tables_golden_grid():
+    csv = emit_tables("alpha=1:6,beta=1:8,p=1:3")
+    assert len(csv.splitlines()) == 1 + 6 * 8 * 3
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "7677ca3272c4d3f3dce1609f8e4d30f807937b59be1ae7c0be5134a5b7f3d1e5")
+
+
+def test_emit_tables_computes_each_capacity_once(monkeypatch):
+    calls = []
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return wwl_capacity(params, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "wwl_capacity", counting)
+    emit_tables("alpha=1:6,beta=1:8,p=1:3")
+    assert len(calls) == len(set(calls)) == 18
+    calls.clear()
+    emit_tables("alpha=1:6,beta=1:12,p=1:4")
+    assert len(calls) == len(set(calls)) == 38

@@ -298,7 +298,7 @@ def test_rank_with_shared_table_builds_no_graph(monkeypatch):
 
 
 def test_graph_limit_raises_before_building(monkeypatch):
-    monkeypatch.setattr(wwl_mod, "combinations", None)  # any build would fail
+    monkeypatch.setattr(wwl_mod, "_strip_graph", None)  # any build would fail
     with pytest.raises(ResourceLimitError):
         CountTable(WwlParams(40, 20), 4)
     with pytest.raises(ResourceLimitError):
