@@ -18,7 +18,7 @@ from .constructions import (BitPerWriteWom, DilutedSpaceCode, DilutedTimeCode,
 from .core import (ConstraintParams, ConstraintVerdict, ConvergenceError,
                    RateReport, ResourceLimitError, RewritingCode,
                    SimulationResult, WriteSequence, check_constraint,
-                   flip_matrix, format_state, measure_rate, parse_state,
+                   check_lines, flip_matrix, format_state, measure_rate, parse_state,
                    simulate)
 from .cosets import (CosetCode, GoodCodeSearch, GreedyStep, build_coset_code,
                      find_good_code, greedy_double, is_s_good,
@@ -36,12 +36,12 @@ __all__ = [
     "RewritingCode", "RsWom", "SimulationResult", "SpaceCode", "TabulatedWom",
     "TimeCode", "TimePCode", "TrivialCode", "WomCode", "WriteSequence",
     "WwlParams", "bounds_report", "build_coset_code", "build_state_set",
-    "build_transition_matrix", "check_constraint", "count_2d_arrays",
-    "count_wwl", "dominant_eigenvalue", "emit_tables", "enumerate_wwl",
-    "find_good_code", "flip_matrix", "format_state", "greedy_double",
-    "is_irreducible", "is_s_good", "is_wwl", "lower_bound", "measure_rate",
-    "parse_state", "rank", "simulate", "timep_code", "unrank", "upper_bound",
-    "wwl_capacity", "xor_autocorrelation",
+    "build_transition_matrix", "check_constraint", "check_lines",
+    "count_2d_arrays", "count_wwl", "dominant_eigenvalue", "emit_tables",
+    "enumerate_wwl", "find_good_code", "flip_matrix", "format_state",
+    "greedy_double", "is_irreducible", "is_s_good", "is_wwl", "lower_bound",
+    "measure_rate", "parse_state", "rank", "simulate", "timep_code", "unrank",
+    "upper_bound", "wwl_capacity", "xor_autocorrelation",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from . import constructions as cx
 from . import cosets as cosets_mod
 from . import wwl
 from .core import (ConstraintParams, ConvergenceError, ResourceLimitError,
-                   WriteSequence, bits_from_int, check_constraint, format_state,
+                   bits_from_int, check_constraint, check_lines, format_state,
                    measure_rate, parse_state, simulate)
 
 VIOLATION_EXIT = 3
@@ -68,11 +68,11 @@ def cmd_unrank(args):
 
 
 def cmd_verify(args):
+    params = ConstraintParams(args.alpha, args.beta, args.p)
     with open(args.file) as fh:
-        ws = WriteSequence.from_lines(fh)
-    verdict = check_constraint(ws, ConstraintParams(args.alpha, args.beta, args.p))
+        verdict, writes, cells = check_lines(fh, params)
     _emit({"alpha": args.alpha, "beta": args.beta, "p": args.p,
-           "writes": ws.writes, "cells": ws.n, "verdict": _verdict_json(verdict)})
+           "writes": writes, "cells": cells, "verdict": _verdict_json(verdict)})
     return 0 if verdict.satisfied else VIOLATION_EXIT
 
 

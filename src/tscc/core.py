@@ -158,11 +158,13 @@ class WriteSequence:
 
     @classmethod
     def from_lines(cls, lines, *, allow_nonzero_start=True):
-        """Build from one 01-string per line; the first line is the initial state."""
-        states = [parse_state(ln.strip()) for ln in lines if ln.strip()]
-        if not states:
-            raise ValueError("empty write-sequence input")
-        return cls(states, allow_nonzero_start=allow_nonzero_start)
+        """Build from one 01-string per line; the first line is the initial state.
+
+        Blank lines are skipped and surrounding whitespace stripped, as
+        check_lines() does.
+        """
+        states = np.concatenate(list(_state_blocks(lines)))
+        return cls(states.tolist(), allow_nonzero_start=allow_nonzero_start)
 
     def to_lines(self):
         return [format_state(s) for s in self.states]
@@ -198,39 +200,155 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
     shorter suffix windows of longer traces are subsets of the last
     complete window and need no separate test.
 
-    All window costs come from one array pass: the flips are the XOR
-    of consecutive state rows, a prefix sum over writes differenced
-    min(alpha, m) rows apart gives each column's cost per time window,
-    and a prefix sum over cells differenced beta columns apart gives
-    each window's cost.
-
     Returns the first violation in (write, cell) lexicographic order.
+    The states are checked in row blocks, as check_lines() checks a file.
     """
-    n = ws.n
-    if n < params.beta:
-        raise ValueError(f"sequence has {n} cells, narrower than beta={params.beta}")
-    m = ws.writes
-    if m == 0:
-        return ConstraintVerdict(True)
-    # no partial or window sum exceeds m * n
-    acc = np.int32 if m * n <= np.iinfo(np.int32).max else np.int64
-    states = np.array(ws.states, dtype=np.uint8)
-    by_write = np.zeros((m + 1, n), dtype=acc)
-    np.cumsum(states[1:] ^ states[:-1], axis=0, dtype=acc, out=by_write[1:])
-    del states
-    rows = min(params.alpha, m)
-    col_cost = by_write[rows:] - by_write[:-rows]
-    del by_write
-    by_cell = np.zeros((col_cost.shape[0], n + 1), dtype=acc)
-    np.cumsum(col_cost, axis=1, out=by_cell[:, 1:])
-    del col_cost
-    cost = by_cell[:, params.beta:] - by_cell[:, :-params.beta]
-    over = cost > params.p
-    first = int(over.argmax())
-    if not over.flat[first]:
-        return ConstraintVerdict(True)
-    i, j = divmod(first, cost.shape[1])
-    return ConstraintVerdict(False, write=i + 1, cell=j + 1, cost=int(cost.flat[first]))
+    scan = _WindowScan(ws.n, params)
+    rows = _block_rows(ws.n)
+    for i in range(0, len(ws.states), rows):
+        scan.feed(np.array(ws.states[i:i + rows], dtype=np.uint8))
+    return scan.finish()
+
+
+def check_lines(lines, params: ConstraintParams):
+    """check_constraint() on a write-sequence text, one state per line.
+
+    The lines are parsed and checked in row blocks, so memory is
+    O((block + alpha) * n) cells whatever the length of the text.
+    Window checks stop at the first violation, but every later line is
+    still read and validated.  Returns (verdict, writes, cells).
+    """
+    scan = None
+    for block in _state_blocks(lines):
+        if scan is None:
+            scan = _WindowScan(block.shape[1], params)
+        scan.feed(block)
+    return scan.finish(), scan.writes, scan.n
+
+
+# Cells per row block when states are parsed or checked in pieces.
+_BLOCK_CELLS = 1 << 18
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_CELLS // n)
+
+
+def _state_blocks(lines):
+    """Yield the states written in `lines` as uint8 arrays of whole rows.
+
+    Blank lines are skipped and each line is stripped.  Every state must
+    be a nonempty 01-string as wide as the first; the first fault in
+    file order raises ValueError.
+    """
+    block, first, n = [], 0, None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if n is None:
+            n, rows = len(line), _block_rows(len(line))
+        block.append(line)
+        if len(block) == rows:
+            yield _parse_block(block, first, n)
+            first += rows
+            block = []
+    if n is None:
+        raise ValueError("empty write-sequence input")
+    if block:
+        yield _parse_block(block, first, n)
+
+
+def _parse_block(block, first: int, n: int):
+    """The states block[i] (state number first + i) as a uint8 array."""
+    # latin-1 keeps one byte per character; '?' stands in for the rest
+    cells = np.frombuffer("".join(block).encode("latin-1", "replace"), dtype=np.uint8) - 48
+    if cells.max() > 1 or set(map(len, block)) != {n}:
+        for i, line in enumerate(block, start=first):
+            parse_state(line)
+            if len(line) != n:
+                raise ValueError(f"state {i} has {len(line)} cells, expected {n}")
+    return cells.reshape(len(block), n)
+
+
+class _WindowScan:
+    """The window check of check_constraint() over states fed in row blocks.
+
+    Carries the last state, each cell's cost over the alpha writes up to
+    the last one, and the flip blocks holding the last alpha writes,
+    whose flips leave that window next.  Work per block is O(rows * n).
+    Windows of one length end in the order they start, so the first
+    window found over budget is the first in (write, cell) order; after
+    it, blocks are only counted.
+    """
+
+    def __init__(self, n: int, params: ConstraintParams):
+        if n < params.beta:
+            raise ValueError(f"sequence has {n} cells, narrower than beta={params.beta}")
+        self.n, self.params = n, params
+        self.writes = 0
+        self.verdict = None
+        # cell prefix sums of one window's column costs stay <= alpha * n
+        self._acc = np.int32 if params.alpha * n <= np.iinfo(np.int32).max else np.int64
+        self._last = None
+        self._col = np.zeros(n, dtype=self._acc)
+        # (first write, flips) blocks, oldest first; writes before 1 flip
+        # nothing, a zero-stride view that takes no memory
+        self._recent = [(1 - params.alpha,
+                         np.broadcast_to(np.zeros(n, np.uint8), (params.alpha, n)))]
+
+    def feed(self, states):
+        if self._last is None:
+            self._last, states = states[0], states[1:]
+        done, k = self.writes, len(states)
+        self.writes += k
+        if k == 0 or self.verdict is not None:
+            return
+        flips = np.empty_like(states)
+        np.bitwise_xor(states[0], self._last, out=flips[0])
+        np.bitwise_xor(states[1:], states[:-1], out=flips[1:])
+        self._last = states[-1]
+        alpha = self.params.alpha
+        self._recent.append((done + 1, flips))
+        # col[r]: column costs of the window ending at write done + 1 + r
+        col = flips.astype(self._acc)
+        col -= self._flips(done + 1 - alpha, k)
+        np.cumsum(col, axis=0, out=col)
+        col += self._col
+        self._col = col[-1]
+        while self._recent[0][0] + len(self._recent[0][1]) <= self.writes + 1 - alpha:
+            del self._recent[0]
+        skip = max(alpha - 1 - done, 0)  # windows ending before write alpha are clipped
+        if skip < k:
+            self._test(col[skip:], done + skip + 2 - alpha)
+
+    def finish(self) -> ConstraintVerdict:
+        if self.verdict is None and 0 < self.writes < self.params.alpha:
+            self._test(self._col[None], 1)
+        return ConstraintVerdict(True) if self.verdict is None else self.verdict
+
+    def _flips(self, start: int, k: int):
+        """Flip rows of writes start .. start + k - 1."""
+        parts = []
+        for first, flips in self._recent:
+            lo, hi = max(start - first, 0), min(start + k - first, len(flips))
+            if lo < hi:
+                parts.append(flips[lo:hi])
+        return np.concatenate(parts)
+
+    def _test(self, col, write: int):
+        """Record the first window over budget; col[r] starts at write + r."""
+        beta = self.params.beta
+        by_cell = np.zeros((len(col), self.n + 1), dtype=self._acc)
+        np.cumsum(col, axis=1, out=by_cell[:, 1:])
+        cost = by_cell[:, beta:] - by_cell[:, :-beta]
+        over = cost > self.params.p
+        first = int(over.argmax())
+        if over.flat[first]:
+            r, j = divmod(first, cost.shape[1])
+            self.verdict = ConstraintVerdict(False, write=write + r, cell=j + 1,
+                                             cost=int(cost.flat[first]))
+            self._recent = []
 
 
 class RewritingCode(ABC):

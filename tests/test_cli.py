@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tscc import core
 from tscc.cli import main
 
 
@@ -166,6 +167,68 @@ def test_parameter_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--alpha", "1", "--beta", "3",
                            "--p", "2", "--file", "/definitely/not/here")
     assert code == 2
+
+
+_PINNED_VERDICT = ('{"alpha": 2, "beta": 3, "cells": 4, "p": 1, '
+                   '"verdict": {"cell": 1, "cost": 3, "write": 1}, "writes": 2}\n')
+
+
+@pytest.mark.parametrize("content, expected", [
+    (b"", None),
+    (b"\n  \n\n", None),
+    (b"0000\r\n0110\r\n0100\r\n", _PINNED_VERDICT),
+    (b"0000\r0110\r0100\r", _PINNED_VERDICT),
+    (b"0000\n0110\n0100", _PINNED_VERDICT),
+    (b"  0000 \n\t0110  \n 0100\n", _PINNED_VERDICT),
+    (b"0000\n01\xff0\n", None),
+    (b"0000\n0120\n", None),
+    (b"0000\n011\n", None),
+    (b"00\n01\n", None),
+    ("directory", None),
+], ids=["empty", "blank-lines-only", "crlf", "bare-cr", "no-trailing-newline",
+        "surrounding-spaces", "non-utf8-byte", "non-binary", "ragged",
+        "narrower-than-beta", "directory"])
+def test_verify_input_handling(capsys, tmp_path, content, expected):
+    """Exact output for files that parse; exit 2 with one error line otherwise."""
+    path = tmp_path / "trace.txt"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", "--alpha", "2", "--beta", "3",
+                             "--p", "1", "--file", str(path))
+    if expected is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("tscc: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    else:
+        assert (code, out, err) == (3, expected, "")
+
+
+def test_verify_checks_parameters_before_opening_the_file(capsys):
+    code, _, err = run_cli(capsys, "verify", "--alpha", "0", "--beta", "3",
+                           "--p", "2", "--file", "/definitely/not/here")
+    assert code == 2 and "alpha must be a positive integer" in err
+
+
+def test_verify_reads_the_whole_file_after_an_early_violation(capsys, tmp_path,
+                                                             monkeypatch):
+    # the violation is on write 1; the file goes on for 200 writes, in
+    # blocks of two states
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 8)
+    lines = ["0000", "1111"] + ["1111"] * 199
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(lines) + "\n")
+    argv = ("verify", "--alpha", "2", "--beta", "2", "--p", "1", "--file", str(trace))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    got = json.loads(out)
+    assert got["writes"] == 200
+    assert got["verdict"] == {"write": 1, "cell": 1, "cost": 2}
+
+    trace.write_text("\n".join(lines + ["11x1"]) + "\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "'11x1'" in err
 
 
 def test_missing_arguments_exit_2():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from tscc import core
 from tscc.core import (ConstraintParams, WriteSequence, all_zero, bits_from_int,
-                       check_constraint, flip_matrix, format_state,
+                       check_constraint, check_lines, flip_matrix, format_state,
                        hamming_distance, hamming_weight, measure_rate,
                        parse_state, psi, simulate, xor)
 from tscc.constructions import TrivialCode
@@ -188,6 +189,83 @@ def test_verdict_is_truthy_only_when_satisfied():
     ws = WriteSequence([(0, 0), (1, 1)])
     assert bool(check_constraint(ws, ConstraintParams(1, 2, 2)))
     assert not bool(check_constraint(ws, ConstraintParams(1, 2, 1)))
+
+
+def assert_streams_match_naive(ws, params):
+    """check_constraint and check_lines against naive_check at 1-3 rows a block."""
+    expect = naive_check(ws, params)
+    lines = ws.to_lines()
+    for rows in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_CELLS", rows * ws.n)
+            verdict, writes, cells = check_lines(lines, params)
+            assert verdict == check_constraint(ws, params)
+        assert (writes, cells) == (ws.writes, ws.n)
+        if expect is None:
+            assert verdict.satisfied
+        else:
+            assert (verdict.write, verdict.cell, verdict.cost) == expect
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_streamed_checker_matches_naive(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(0, 16))
+    states = [tuple(data.draw(st.integers(0, 1)) for _ in range(n))
+              for _ in range(m + 1)]
+    ws = WriteSequence(states, allow_nonzero_start=True)
+    alpha = data.draw(st.integers(1, 8))
+    beta = data.draw(st.integers(1, n))
+    p = data.draw(st.integers(1, alpha * beta + 1))
+    assert_streams_match_naive(ws, ConstraintParams(alpha, beta, p))
+
+
+@pytest.mark.parametrize("rows, alpha, beta, p, expect", [
+    # flip rows 0000, 0000, 0011, 0001, 1000, 0000: the window of writes
+    # 3-4 at cells 3-4 costs 3; at one and two states a block, writes 3
+    # and 4 fall in different blocks
+    (["0000", "0000", "0000", "0011", "0010", "1010", "1010"], 2, 2, 2, (3, 3, 3)),
+    # alpha = 5 is longer than every block; writes 1-5 at cells 1-2 cost 4
+    (["00", "10", "00", "10", "00", "00", "00"], 5, 2, 3, (1, 1, 4)),
+    # three writes against alpha = 4: the clipped window [1, 3] costs 3
+    (["000", "100", "000", "100"], 4, 3, 2, (1, 1, 3)),
+    (["000", "100", "000", "100"], 4, 3, 3, None),
+    # no writes at all
+    (["0101"], 1, 1, 1, None),
+])
+def test_streamed_checker_cases(rows, alpha, beta, p, expect):
+    ws = WriteSequence.from_lines(rows)
+    assert naive_check(ws, ConstraintParams(alpha, beta, p)) == expect
+    assert_streams_match_naive(ws, ConstraintParams(alpha, beta, p))
+
+
+def test_checker_memory_does_not_follow_alpha():
+    # a ring of alpha flip rows would need 2 * 10**12 bytes here
+    ws = WriteSequence([(0, 0), (1, 1), (0, 1)])
+    verdict = check_constraint(ws, ConstraintParams(10 ** 12, 2, 2))
+    assert (verdict.write, verdict.cell, verdict.cost) == (1, 1, 3)
+
+
+def test_check_lines_reports_the_first_fault_in_file_order():
+    # a ragged state 2 comes before a non-binary state 3
+    lines = ["0000", "0101", "011", "01x1"]
+    for rows in (1, 2, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_CELLS", rows * 4)
+            with pytest.raises(ValueError, match="state 2 has 3 cells, expected 4"):
+                check_lines(lines, ConstraintParams(1, 1, 1))
+            with pytest.raises(ValueError, match="'01x1'"):
+                check_lines(lines[:2] + lines[3:], ConstraintParams(1, 1, 1))
+            with pytest.raises(ValueError, match="empty write-sequence input"):
+                check_lines(["", "  "], ConstraintParams(1, 1, 1))
+
+
+def test_from_lines_shares_the_parse_rules():
+    ws = WriteSequence.from_lines([" 0000\n", "\n", "0110\r\n", "0100"])
+    assert ws.states == ((0, 0, 0, 0), (0, 1, 1, 0), (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="state 1 has 3 cells"):
+        WriteSequence.from_lines(["0000", "011"])
 
 
 # --- rates and simulation ----------------------------------------------------
