@@ -11,55 +11,83 @@ GoodCodeSearch grows B by greedy doubling: among all z outside B it
 adjoins the one whose translate z + S_B overlaps the current coverage
 S_B = B + S least, breaking ties toward the smallest value.  The
 overlap of every candidate at once is the XOR autocorrelation of the
-coverage indicator, computed exactly with an integer Walsh-Hadamard
-transform, so the scan is always exhaustive.  Averaging over all
-candidates shows the fraction Q of uncovered words at least squares
-with each step, which bounds the number of steps by
-ceil(n - log2 |S| + log2 n).
+coverage indicator, computed exactly with a Walsh-Hadamard transform,
+so the scan is always exhaustive.  Averaging over all candidates shows
+the fraction Q of uncovered words at least squares with each step,
+which bounds the number of steps by ceil(n - log2 |S| + log2 n).
+
+S_B is a union of cosets of B, so the search keeps it on the quotient
+{0,1}^n / B: one flag per pattern of the n - k free (non-pivot) columns
+of B's reduced echelon basis (k = dim B), packed in column order.
+Overlaps there are the full ones divided by 2^k, and quotient order is
+the order of each class's smallest member (zeros in every pivot
+column), so the first minimum gives the same z.  Each step transforms
+2^(n-k) flags, under 2 * 2^n per transform over a search instead of
+steps * 2^n.  The transform runs in float64 as batched products with
+Hadamard blocks of order <= 64; it is exact because every intermediate
+is an integer of magnitude at most 2^n * |A| <= 2^48 < 2^53.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import ceil, log2
 
 import numpy as np
 
 from .core import Bits, ConstraintParams, RewritingCode, bits_from_int, psi
-from .wwl import WwlParams, enumerate_wwl
+from .wwl import WwlParams, wwl_values
 
 _MAX_N = 24
+_BLOCK_BITS = 6
+
+
+@cache
+def _hadamard() -> np.ndarray:
+    """Read-only Sylvester Hadamard matrix of order 64; its 2^s corner has order 2^s."""
+    i = np.arange(1 << _BLOCK_BITS)
+    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
+    h.flags.writeable = False
+    return h
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """In-place integer Walsh-Hadamard transform (self-inverse up to 2^n)."""
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        a[:, 0, :] = x + a[:, 1, :]
-        a[:, 1, :] = x - a[:, 1, :]
-        a = a.reshape(n)
-        h *= 2
-    return a
+    """Walsh-Hadamard transform of a length-2^m float64 array (self-inverse up to 2^m).
+
+    The m index bits are split into ceil(m / 6) near-equal blocks; each
+    pass multiplies by a Hadamard block along one, batched over the rest.
+    """
+    m = a.size.bit_length() - 1
+    passes = -(-m // _BLOCK_BITS)
+    done = 0
+    for i in range(passes):
+        s = m // passes + (i < m % passes)
+        h = _hadamard()[:1 << s, :1 << s]
+        rest = m - done - s
+        if rest:
+            a = np.matmul(h, a.reshape(-1, 1 << s, 1 << rest))
+        else:
+            a = a.reshape(-1, 1 << s) @ h
+        done += s
+    return a.reshape(-1)
 
 
 def xor_autocorrelation(indicator: np.ndarray) -> np.ndarray:
     """corr[z] = |{x : x in A and x ^ z in A}| for a 0/1 indicator of A.
 
-    Exact in int64 for n <= 24: every intermediate is a signed sum of
-    nonnegative entries bounded by 2^n * |A| < 2^48.
+    Exact for n <= 24: the float64 transforms only ever hold integers of
+    magnitude at most 2^n * |A| <= 2^48 < 2^53.
     """
-    f = _walsh_hadamard(indicator.astype(np.int64))
+    f = _walsh_hadamard(indicator.astype(np.float64))
     g = _walsh_hadamard(f * f)
-    return g >> int(log2(g.shape[0]))
+    return np.rint(g).astype(np.int64) >> (g.size.bit_length() - 1)
 
 
 def _coverage(s_values, basis, n: int) -> np.ndarray:
     """Indicator of span(basis) + S, built by folding one translate per step."""
     cov = np.zeros(1 << n, dtype=bool)
-    cov[list(s_values)] = True
+    cov[np.asarray(s_values, dtype=np.int64)] = True
     idx = np.arange(1 << n)
     for z in basis:
         cov |= cov[idx ^ z]
@@ -86,23 +114,31 @@ class GreedyStep:
 
 
 class GoodCodeSearch:
-    """Greedy search state for an S-good linear code; single-owner mutable."""
+    """Greedy search state for an S-good linear code; single-owner mutable.
+
+    _cov flags the cosets of span(basis) inside the coverage, indexed by
+    the bits of the free columns _free (0 = the first cell) in order.
+    """
 
     def __init__(self, n: int, params: WwlParams):
         if not 1 <= n <= _MAX_N:
             raise ValueError(f"n must be in [1:{_MAX_N}]")
         self.n = n
         self.params = params
-        self.s_values = tuple(psi(v) for v in enumerate_wwl(params, n))
+        self._s = wwl_values(params, n)
         self.basis: list[int] = []
         self.steps: list[GreedyStep] = []
-        self._cov = _coverage(self.s_values, (), n)
-        self._member = np.zeros(1 << n, dtype=bool)
-        self._member[0] = True
+        self._free = list(range(n))
+        self._cov = _coverage(self._s, (), n)
+
+    @cached_property
+    def s_values(self) -> tuple:
+        """S as Python ints in increasing order."""
+        return tuple(self._s.tolist())
 
     @property
     def covered(self) -> int:
-        return int(np.count_nonzero(self._cov))
+        return int(np.count_nonzero(self._cov)) << len(self.basis)
 
     @property
     def missed(self) -> int:
@@ -119,20 +155,26 @@ class GoodCodeSearch:
     @property
     def step_bound(self) -> int:
         """Guaranteed upper bound on the number of doublings needed."""
-        return max(0, ceil(self.n - log2(len(self.s_values)) + log2(self.n)))
+        return max(0, ceil(self.n - log2(self._s.size) + log2(self.n)))
 
     def double(self) -> GreedyStep:
         """Adjoin the translate overlapping current coverage least."""
         if self.is_good:
             raise ValueError("code is already S-good; nothing to double")
         size = 1 << self.n
+        free = len(self._free)
+        # corr[0] = |S_B| bounds every entry, so while S_B is not everything
+        # the first minimum is a class outside B, with the smallest representative
         corr = xor_autocorrelation(self._cov)
-        corr[self._member] = size + 1  # members never shrink the miss count
-        z = int(np.argmin(corr))  # first minimum = smallest value
+        zq = int(np.argmin(corr))
         before = self.missed
-        idx = np.arange(size)
-        self._cov |= self._cov[idx ^ z]
-        self._member |= self._member[idx ^ z]
+        self._cov |= self._cov[np.arange(1 << free) ^ zq]
+        # the new pivot is zq's leading bit; keep the classes with a 0 there
+        lead = free - zq.bit_length()
+        self._cov = self._cov.reshape(1 << lead, 2, -1)[:, 0, :].ravel()
+        z = sum(1 << (self.n - 1 - col) for i, col in enumerate(self._free)
+                if zq >> (free - 1 - i) & 1)
+        del self._free[lead]
         self.basis.append(z)
         after = self.missed
         if after >= before:
@@ -202,8 +244,8 @@ class CosetCode(RewritingCode):
         self.params = ConstraintParams(1, params.beta, params.p)
         self.n_cells = n
         self.period = 1
-        if s_values is None:
-            s_values = tuple(psi(v) for v in enumerate_wwl(params, n))
+        s = np.sort(wwl_values(params, n) if s_values is None
+                    else np.asarray(s_values, dtype=np.int64))
         rref, pivots = _gf2_rref([int(z) for z in basis], n)
         if len(rref) != len(list(basis)):
             raise ValueError("basis vectors are linearly dependent")
@@ -212,28 +254,27 @@ class CosetCode(RewritingCode):
         self._pivots = pivots
         self._free = [j for j in range(n) if j not in pivots]
         # smallest admissible pattern per syndrome; S-goodness makes this total
-        rep = {}
-        for s in sorted(s_values):
-            d = self._syndrome_int(s)
-            if d not in rep:
-                rep[d] = s
-        if len(rep) != 1 << (n - self.k):
-            good, missed = is_s_good(basis, s_values, n)
+        syndromes = self._syndrome_int(s)
+        reached, first = np.unique(syndromes, return_index=True)
+        if reached.size != 1 << (n - self.k):
+            good, missed = is_s_good(basis, s, n)
             if good:
                 raise RuntimeError("coverage says S-good but some syndromes have no "
                                    "admissible representative")
             raise ValueError(
                 f"code is not S-good: {missed} words uncovered, "
-                f"{(1 << (n - self.k)) - len(rep)} syndromes unreachable")
-        self._rep = rep
+                f"{(1 << (n - self.k)) - reached.size} syndromes unreachable")
+        self._rep = s[first].tolist()
 
-    def _syndrome_int(self, x: int) -> int:
-        """Free-coordinate bits of x reduced mod the code, packed in column order."""
+    def _syndrome_int(self, x):
+        """Free-coordinate bits of x reduced mod the code, packed in column order.
+
+        x is an int or an int64 array; the arithmetic is the same for both.
+        """
         n = self.n_cells
         for piv, b in zip(self._pivots, self._rref):
-            if x >> (n - 1 - piv) & 1:
-                x ^= b
-        d = 0
+            x = x ^ (x >> (n - 1 - piv) & 1) * b
+        d = x & 0  # 0 of x's type and shape
         for j in self._free:
             d = (d << 1) | (x >> (n - 1 - j) & 1)
         return d
@@ -265,5 +306,5 @@ def build_coset_code(n: int, params: WwlParams, basis) -> CosetCode:
 def find_good_code(n: int, params: WwlParams):
     """Run the greedy search and build the resulting syndrome code."""
     search = GoodCodeSearch(n, params).run()
-    code = CosetCode(n, params, search.basis, search.s_values)
+    code = CosetCode(n, params, search.basis, search._s)
     return search, code

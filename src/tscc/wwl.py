@@ -361,17 +361,27 @@ def count_wwl(params: WwlParams, n: int) -> int:
     return CountTable(params, n - params.beta + 2).row_sum(n)
 
 
+def wwl_values(params: WwlParams, n: int) -> np.ndarray:
+    """The admissible vectors of length n as sorted int64 values (cell 1 the MSB).
+
+    Grown one bit at a time: appending 0 or 1 to sorted values keeps them
+    sorted, and a value stays when the window ending at the new bit (its
+    last beta bits) holds at most p ones.
+    """
+    if not 1 <= n <= 63:
+        raise ValueError(f"n must be in [1:63] for int64 values, got {n}")
+    window = (1 << min(params.beta, n)) - 1
+    values = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        values = ((values << 1)[:, None] | np.arange(2)).ravel()
+        values = values[np.bitwise_count(values & window) <= params.p]
+    return values
+
+
 def enumerate_wwl(params: WwlParams, n: int):
     """All admissible vectors of length n in increasing value order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    beta, p = params.beta, params.p
-    vectors = [()]
-    for k in range(n):
-        # appending a 1 is allowed when the window ending here stays within budget
-        vectors = [v + (b,) for v in vectors for b in (0, 1)
-                   if not b or sum(v[max(0, k - beta + 1):]) < p]
-    return vectors
+    bits = (wwl_values(params, n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return list(map(tuple, bits.tolist()))
 
 
 def _require_table(params: WwlParams, n: int, table):

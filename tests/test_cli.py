@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -322,6 +323,27 @@ def test_findgood_sample_flag_accepted(capsys):
     got = run_json(capsys, "findgood", "--n", "6", "--beta", "3", "--p", "2",
                    "--sample")
     assert got["mode"] == "exhaustive"
+
+
+def test_findgood_golden_grid(capsys):
+    """Whole findgood output (basis, N_B, Q_B) for beta <= n <= 14, p <= beta <= 5."""
+    digest = hashlib.sha256()
+    for beta in range(1, 6):
+        for p in range(1, beta + 1):
+            for n in range(beta, 15):
+                code, out, err = run_cli(capsys, "findgood", "--n", str(n),
+                                         "--beta", str(beta), "--p", str(p))
+                assert code == 0, err
+                digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "00ed98c0e3c3f093503214db6e2ffd4755f1c9b0bbfc7a4911b963337ff3f485")
+
+
+@pytest.mark.parametrize("n", ["0", "25"])
+def test_findgood_rejects_n_outside_cap(capsys, n):
+    code, out, err = run_cli(capsys, "findgood", "--n", n, "--beta", "3", "--p", "2")
+    assert code == 2 and out == ""
+    assert "n must be in [1:24]" in err and "Traceback" not in err
 
 
 def test_json_output_is_key_sorted(capsys):

@@ -16,14 +16,22 @@ from tscc.cosets import (CosetCode, GoodCodeSearch, build_coset_code,
 @settings(max_examples=60)
 @given(st.data())
 def test_autocorrelation_matches_brute_force(data):
-    n = data.draw(st.integers(1, 7))
-    members = data.draw(st.sets(st.integers(0, 2 ** n - 1)))
+    n = data.draw(st.integers(1, 10))
+    members = data.draw(st.sets(st.integers(0, 2 ** n - 1), max_size=80))
     indicator = np.zeros(1 << n, dtype=np.int64)
     for x in members:
         indicator[x] = 1
     got = xor_autocorrelation(indicator)
     want = [sum(1 for x in members if (x ^ z) in members) for z in range(1 << n)]
+    assert got.dtype == np.int64
     assert got.tolist() == want
+
+
+def test_autocorrelation_exact_at_two_to_the_forty():
+    """All-ones at n = 20: the transforms pass through 2^40, every entry is 2^20."""
+    got = xor_autocorrelation(np.ones(1 << 20, dtype=bool))
+    assert got.dtype == np.int64
+    assert np.all(got == 1 << 20)
 
 
 def brute_coverage(s_values, basis, n):
@@ -86,6 +94,39 @@ def test_greedy_q_squares_and_coverage_grows(n):
         prev_missed, prev_covered = step.missed, step.covered
 
 
+def naive_greedy(n, s_values):
+    """Full-space greedy: every z outside span(B), overlap counted directly."""
+    size = 1 << n
+    idx = np.arange(size)
+    cov = np.zeros(size, dtype=bool)
+    cov[list(s_values)] = True
+    span = np.zeros(size, dtype=bool)
+    span[0] = True
+    basis, steps = [], []
+    while not cov.all():
+        overlaps = [(int(np.count_nonzero(cov & cov[idx ^ z])), z)
+                    for z in range(size) if not span[z]]
+        z = min(overlaps)[1]  # fewest overlaps, then smallest z
+        cov |= cov[idx ^ z]
+        span |= span[idx ^ z]
+        covered = int(np.count_nonzero(cov))
+        basis.append(z)
+        steps.append((z, covered, size - covered, (size - covered) / size))
+    return basis, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_greedy_matches_naive_full_space_greedy(data):
+    n = data.draw(st.integers(1, 10))
+    beta = data.draw(st.integers(1, n + 1))
+    p = data.draw(st.integers(1, beta))
+    search = GoodCodeSearch(n, WwlParams(beta, p)).run()
+    basis, steps = naive_greedy(n, search.s_values)
+    assert search.basis == basis
+    assert [(s.z, s.covered, s.missed, s.q) for s in search.steps] == steps
+
+
 def test_greedy_is_deterministic():
     a = GoodCodeSearch(9, WwlParams(3, 2)).run()
     b = GoodCodeSearch(9, WwlParams(3, 2)).run()
@@ -126,6 +167,19 @@ def test_coset_code_exhaustive_roundtrip():
             assert code.decode(1, nxt) == m
             flip = psi(nxt) ^ x
             assert is_wwl(params, bits_from_int(flip, 6))
+
+
+@pytest.mark.parametrize("n,beta,p", [(6, 3, 2), (9, 3, 1), (10, 4, 2), (11, 5, 2)])
+def test_coset_code_table_holds_smallest_pattern_per_syndrome(n, beta, p):
+    search, code = find_good_code(n, WwlParams(beta, p))
+    want = {}
+    for s in search.s_values:
+        want.setdefault(code._syndrome_int(s), s)
+    syndromes = range(code.message_count(1))
+    assert [code._rep[d] for d in syndromes] == [want[d] for d in syndromes]
+    # caller-supplied S in any order builds the same table
+    shuffled = CosetCode(n, WwlParams(beta, p), search.basis, search.s_values[::-1])
+    assert [shuffled._rep[d] for d in syndromes] == [want[d] for d in syndromes]
 
 
 def test_coset_code_rate_and_dimension():

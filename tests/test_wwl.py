@@ -7,11 +7,11 @@ import tscc.wwl as wwl_mod
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tscc.core import ConvergenceError, ResourceLimitError, all_zero, psi
+from tscc.core import ConvergenceError, ResourceLimitError, all_zero, bits_from_int, psi
 from tscc.wwl import (CountTable, WwlParams, build_state_set,
                       build_transition_matrix, count_wwl, dominant_eigenvalue,
                       enumerate_wwl, is_irreducible, is_wwl, merge, rank,
-                      state_count, unrank, wwl_capacity)
+                      state_count, unrank, wwl_capacity, wwl_values)
 
 GRID = [(b, p) for b in range(1, 7) for p in range(1, b + 1)]
 
@@ -143,6 +143,21 @@ def test_count_matches_enumeration(beta, p):
         vectors = enumerate_wwl(params, n)
         assert len(vectors) == count_wwl(params, n)
         assert all(is_wwl(params, v) for v in vectors)
+
+
+@pytest.mark.parametrize("beta,p", GRID + [(9, 2)])
+def test_values_match_brute_force_filter(beta, p):
+    params = WwlParams(beta, p)
+    for n in range(1, 11):
+        want = [x for x in range(1 << n) if is_wwl(params, bits_from_int(x, n))]
+        assert wwl_values(params, n).tolist() == want
+
+
+def test_values_cover_the_int64_range():
+    values = wwl_values(WwlParams(100, 1), 63)
+    assert values.tolist() == [0] + [1 << j for j in range(63)]
+    with pytest.raises(ValueError, match="63"):
+        wwl_values(WwlParams(100, 1), 64)
 
 
 def test_enumeration_leaves_no_cyclic_garbage():
