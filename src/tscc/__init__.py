@@ -13,16 +13,14 @@ from .bounds import (Array2DCount, BoundReport, bounds_report, count_2d_arrays,
 from .constructions import (BitPerWriteWom, DilutedSpaceCode, DilutedTimeCode,
                             RsWom, SpaceCode, TabulatedWom, TimeCode,
                             TimePCode, TrivialCode, WomCode, parse_wom_table,
-                            time_theoretical_rate, timep_code,
-                            timep_theoretical_rate)
+                            timep_code, timep_theoretical_rate)
 from .core import (ConstraintParams, ConstraintVerdict, ConvergenceError,
                    RateReport, ResourceLimitError, RewritingCode,
                    SimulationResult, WriteSequence, check_constraint,
                    check_lines, flip_matrix, format_state, measure_rate, parse_state,
                    simulate)
-from .cosets import (CosetCode, GoodCodeSearch, GreedyStep, build_coset_code,
-                     find_good_code, greedy_double, is_s_good,
-                     xor_autocorrelation)
+from .cosets import (CosetCode, GoodCodeSearch, GreedyStep, find_good_code,
+                     is_s_good, xor_autocorrelation)
 from .wwl import (CapacityBracket, CountTable, EigenEstimate, WwlParams,
                   build_state_set, build_transition_matrix, count_wwl,
                   dominant_eigenvalue, enumerate_wwl, is_irreducible, is_wwl,
@@ -35,13 +33,13 @@ __all__ = [
     "GoodCodeSearch", "GreedyStep", "RateReport", "ResourceLimitError",
     "RewritingCode", "RsWom", "SimulationResult", "SpaceCode", "TabulatedWom",
     "TimeCode", "TimePCode", "TrivialCode", "WomCode", "WriteSequence",
-    "WwlParams", "bounds_report", "build_coset_code", "build_state_set",
-    "build_transition_matrix", "check_constraint", "check_lines",
-    "count_2d_arrays", "count_wwl", "dominant_eigenvalue", "emit_tables",
-    "enumerate_wwl", "find_good_code", "flip_matrix", "format_state",
-    "greedy_double", "is_irreducible", "is_s_good", "is_wwl", "lower_bound",
-    "measure_rate", "parse_state", "rank", "simulate", "timep_code", "unrank",
-    "upper_bound", "wwl_capacity", "xor_autocorrelation",
+    "WwlParams", "bounds_report", "build_state_set", "build_transition_matrix",
+    "check_constraint", "check_lines", "count_2d_arrays", "count_wwl",
+    "dominant_eigenvalue", "emit_tables", "enumerate_wwl", "find_good_code",
+    "flip_matrix", "format_state", "is_irreducible", "is_s_good", "is_wwl",
+    "lower_bound", "measure_rate", "parse_state", "rank", "simulate",
+    "timep_code", "unrank", "upper_bound", "wwl_capacity",
+    "xor_autocorrelation",
 ]
 
 __version__ = "0.1.0"

@@ -19,12 +19,12 @@ on the strip graph whose width-1 case is the WWL codec's transfer graph.
 
 from __future__ import annotations
 
-import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
 from math import ceil, log2
 
-from .core import ResourceLimitError
+from .core import ConstraintParams
 from .wwl import WwlParams, _strip_graph, _walk_rows, wwl_capacity
 
 # published numeric upper bounds for the two smallest genuinely
@@ -34,15 +34,6 @@ REFERENCE_2D = {
     (3, 3, 1): 0.25681,
 }
 
-_ENV_STATE_BITS = "TSCC_MAX_STATE_BITS"
-_DEFAULT_STATE_BITS = 24
-
-
-def _validate(alpha, beta, p):
-    for name, v in (("alpha", alpha), ("beta", beta), ("p", p)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
-
 
 def upper_bound(alpha: int, beta: int, p: int, tol: float = 1e-9):
     """Capacity upper bound and its provenance tag."""
@@ -51,7 +42,7 @@ def upper_bound(alpha: int, beta: int, p: int, tol: float = 1e-9):
 
 def _upper_bound(alpha, beta, p, capacity):
     """upper_bound with capacity(WwlParams) -> CapacityBracket supplied."""
-    _validate(alpha, beta, p)
+    ConstraintParams(alpha, beta, p)
     if p >= alpha * beta:
         return 1.0, "vacuous-1"
     if alpha == 1:
@@ -100,7 +91,7 @@ def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False,
 
 def _lower_bound(alpha, beta, p, use_coset, capacity):
     """lower_bound with capacity(WwlParams) -> CapacityBracket supplied."""
-    _validate(alpha, beta, p)
+    ConstraintParams(alpha, beta, p)
     if p >= alpha * beta:
         return 1.0, "trivial", None
     candidates = [(p / (alpha * beta), "trivial", None)]
@@ -160,25 +151,16 @@ class Array2DCount:
         return log2(self.count) / (self.m * self.n)
 
 
-def _max_state_bits(override):
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_STATE_BITS)
-    return int(env) if env else _DEFAULT_STATE_BITS
-
-
-def count_2d_arrays(a: int, b: int, p: int, m: int, n: int,
-                    max_state_bits: int | None = None) -> Array2DCount:
+def count_2d_arrays(a: int, b: int, p: int, m: int, n: int) -> Array2DCount:
     """Exact count: walks of length m-a+1 on the (a, b, p, n) strip graph.
 
     Arrays with no complete window, or a budget p >= a*b, all count, at
     once.  The orientation with the smaller state is chosen
-    automatically (the count is transpose-invariant); the state width
-    (a-1)*n is capped at max_state_bits, default 24, overridable via
-    the TSCC_MAX_STATE_BITS environment variable, and the graph build
-    at wwl.MAX_GRAPH_ENTRIES.
+    automatically (the count is transpose-invariant).  The strip graph
+    build is capped at wwl.MAX_GRAPH_ENTRIES, and only the last row of
+    walk counts is kept, so memory does not grow with m.
     """
-    _validate(a, b, p)
+    ConstraintParams(a, b, p)
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     result_args = dict(a=a, b=b, p=p, m=m, n=n)
@@ -186,15 +168,9 @@ def count_2d_arrays(a: int, b: int, p: int, m: int, n: int,
         return Array2DCount(count=1 << (m * n), **result_args)
     if (a - 1) * n > (b - 1) * m:
         a, b, m, n = b, a, n, m
-    limit = _max_state_bits(max_state_bits)
-    if (a - 1) * n > limit:
-        raise ResourceLimitError(
-            f"DP state needs {(a - 1) * n} bits, over the limit of {limit}; "
-            f"raise {_ENV_STATE_BITS} to allow it")
-    if n > 26:
-        raise ResourceLimitError(f"row width {n} is over the hard limit of 26 bits")
     _, successors = _strip_graph(a, b, p, n)
-    return Array2DCount(count=sum(_walk_rows(successors, m - a + 1)[-1]), **result_args)
+    last = deque(_walk_rows(successors, m - a + 1), maxlen=1).pop()
+    return Array2DCount(count=sum(last), **result_args)
 
 
 def parse_grid(text: str):

@@ -197,12 +197,6 @@ class GoodCodeSearch:
         return self
 
 
-def greedy_double(search: GoodCodeSearch) -> GoodCodeSearch:
-    """One greedy doubling step; returns the updated search."""
-    search.double()
-    return search
-
-
 def _gf2_rref(rows, n: int):
     """Reduced row-echelon basis and pivot columns of integer row vectors."""
     basis = []
@@ -298,13 +292,11 @@ class CosetCode(RewritingCode):
         return (self.n_cells - self.k) / self.n_cells
 
 
-def build_coset_code(n: int, params: WwlParams, basis) -> CosetCode:
-    """CosetCode over span(basis); raises when the code is not S-good."""
-    return CosetCode(n, params, basis)
-
-
 def find_good_code(n: int, params: WwlParams):
     """Run the greedy search and build the resulting syndrome code."""
-    search = GoodCodeSearch(n, params).run()
+    search = GoodCodeSearch(n, params)
+    if n < params.beta:  # CosetCode refuses it; say so before the search runs
+        raise ValueError(f"n={n} is narrower than beta={params.beta}")
+    search.run()
     code = CosetCode(n, params, search.basis, search._s)
     return search, code

@@ -133,13 +133,12 @@ def _transfer_graph(params: WwlParams):
 
 
 def _walk_rows(successors, steps: int):
-    """Row k: the exact number of k-step walks from each state."""
+    """Yield row k = 0..steps: the exact number of k-step walks from each state."""
     row = [1] * len(successors)
-    rows = [row]
+    yield row
     for _ in range(steps):
         row = [sum([row[j] for j in nxt]) for nxt in successors]
-        rows.append(row)
-    return rows
+        yield row
 
 
 def build_state_set(params: WwlParams):
@@ -327,7 +326,7 @@ class CountTable:
         self.max_length = n + params.beta - 2
         states, successors = _transfer_graph(params)
         self.index = {s: k for k, s in enumerate(states, start=1)}
-        self._rows = _walk_rows(successors, self.max_length - self.min_length)
+        self._rows = list(_walk_rows(successors, self.max_length - self.min_length))
 
     @property
     def states(self) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -236,9 +237,41 @@ def test_count_2d_transpose_invariant():
 
 def test_count_2d_resource_limit():
     with pytest.raises(ResourceLimitError):
-        count_2d_arrays(4, 2, 1, 20, 20, max_state_bits=16)
+        count_2d_arrays(4, 2, 1, 20, 20)  # 2^20 rows x 17 windows, transposed
     with pytest.raises(ResourceLimitError):
-        count_2d_arrays(2, 2, 1, 30, 30)  # row width over the hard cap
+        count_2d_arrays(2, 2, 1, 30, 30)  # 2^30 rows x 29 windows
+
+
+def brute_2d_single_ones(a, b, m, n):
+    """p = 1: sets of cells with no two in one a-by-b window of the m-by-n array."""
+    cells = [(r, c) for r in range(m) for c in range(n)]
+
+    def count(k, chosen):
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        total = count(k + 1, chosen)
+        if all(abs(r - r2) >= a or abs(c - c2) >= b for r2, c2 in chosen):
+            total += count(k + 1, chosen + [(r, c)])
+        return total
+
+    return count(0, [])
+
+
+def test_count_2d_wide_state_counts_through_the_graph():
+    """A 28-bit strip state, but only 77 of them: the graph cap alone decides."""
+    assert brute_2d_single_ones(5, 5, 7, 7) == 725
+    assert count_2d_arrays(5, 5, 1, 7, 7).count == 725
+
+
+def test_count_2d_memory_does_not_grow_with_m():
+    tracemalloc.start()
+    try:
+        count_2d_arrays(2, 2, 1, 800, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_count_2d_graph_limit_raises_before_building(monkeypatch):
@@ -250,14 +283,6 @@ def test_count_2d_graph_limit_raises_before_building(monkeypatch):
     with pytest.raises(ResourceLimitError):
         count_2d_arrays(3, 2, 5, 30, 11)  # 2,048 one-row states x 2,048 rows
     assert time.perf_counter() - start < 1.0
-
-
-def test_count_2d_env_override(monkeypatch):
-    monkeypatch.setenv("TSCC_MAX_STATE_BITS", "3")
-    with pytest.raises(ResourceLimitError):
-        count_2d_arrays(2, 2, 1, 4, 4)
-    monkeypatch.setenv("TSCC_MAX_STATE_BITS", "8")
-    assert count_2d_arrays(2, 2, 1, 4, 4).count == brute_2d(2, 2, 1, 4, 4)
 
 
 def test_normalized_counts_bound_below_one():

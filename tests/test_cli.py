@@ -285,6 +285,36 @@ def test_simulate_rounds_up_to_whole_periods(capsys):
     assert got["writes"] == 12
 
 
+def _write_once_simulations():
+    woms = {"rs": ("--wom", "rs"), "bitper1": ("--wom", "bitper", "--t", "1"),
+            "bitper3": ("--wom", "bitper", "--t", "3")}
+    for alpha in range(1, 5):
+        a = ("--alpha", str(alpha))
+        for name, wom in woms.items():
+            yield ("time", *a, *wom)
+            yield ("timep", *a, "--p", "1", *wom)
+            yield ("dilute-space", *a, "--beta", "2", *wom)
+            if name != "rs":
+                yield ("timep", *a, "--p", "3", *wom)
+                yield ("dilute-space", *a, "--beta", "2", "--p", "3", *wom)
+
+
+def test_simulate_write_once_schedules_golden(capsys, tmp_path):
+    """simulate stdout plus --trace bytes for the write-once time schedules."""
+    digest = hashlib.sha256()
+    trace = tmp_path / "run.txt"
+    for argv in _write_once_simulations():
+        for writes in ("7", "100"):
+            code, out, err = run_cli(capsys, "simulate", "--construction", *argv,
+                                     "--writes", writes, "--seed", "5",
+                                     "--trace", str(trace))
+            assert code == 0, (argv, err)
+            digest.update(out.encode())
+            digest.update(trace.read_bytes())
+    assert digest.hexdigest() == (
+        "8eb67d88b21b8c51f9bf41bc98c557c12c4755d94a7e1d15a156ffd303cce82d")
+
+
 def test_simulate_wom_from_file(capsys, tmp_path):
     from tscc.constructions import RsWom
     wom = RsWom()
@@ -344,6 +374,18 @@ def test_findgood_rejects_n_outside_cap(capsys, n):
     code, out, err = run_cli(capsys, "findgood", "--n", n, "--beta", "3", "--p", "2")
     assert code == 2 and out == ""
     assert "n must be in [1:24]" in err and "Traceback" not in err
+
+
+def test_findgood_rejects_n_below_beta_before_searching(capsys, monkeypatch):
+    from tscc import cosets
+
+    def no_search(indicator):
+        raise AssertionError("the greedy search ran")
+
+    monkeypatch.setattr(cosets, "xor_autocorrelation", no_search)
+    code, out, err = run_cli(capsys, "findgood", "--n", "22", "--beta", "30", "--p", "3")
+    assert code == 2 and out == ""
+    assert "n=22 is narrower than beta=30" in err and "Traceback" not in err
 
 
 def test_json_output_is_key_sorted(capsys):

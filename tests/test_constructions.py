@@ -8,8 +8,8 @@ from tscc.core import (ConstraintParams, all_one, all_zero, check_constraint,
 from tscc.constructions import (BitPerWriteWom, DilutedSpaceCode,
                                 DilutedTimeCode, RsWom, SpaceCode,
                                 TabulatedWom, TimeCode, TimePCode, TrivialCode,
-                                parse_wom_table, time_theoretical_rate,
-                                timep_code, timep_theoretical_rate)
+                                parse_wom_table, timep_code,
+                                timep_theoretical_rate)
 
 
 def assert_valid_run(code, periods=3, seed=11):
@@ -220,7 +220,7 @@ def test_time_code_rate_golden():
     assert code.period == 12
     assert measure_rate(code, 12).rate == pytest.approx(8 / 36)
     assert code.theoretical_rate == pytest.approx(math.log2(3) / 6)
-    assert time_theoretical_rate(2, 4) == pytest.approx(math.log2(3) / 6)
+    assert timep_theoretical_rate(1, 2, 4) == pytest.approx(math.log2(3) / 6)
 
 
 def test_time_code_trace_and_monotone_phases():
@@ -240,6 +240,24 @@ def test_time_code_trace_and_monotone_phases():
 
 def test_time_code_with_bit_per_write():
     assert_valid_run(TimeCode(2, BitPerWriteWom(3)), periods=5)
+
+
+@pytest.mark.parametrize("alpha", range(1, 7))
+@pytest.mark.parametrize("wom", [RsWom(), BitPerWriteWom(1), BitPerWriteWom(3)],
+                         ids=["rs", "bitper1", "bitper3"])
+def test_time_code_is_the_one_phase_timep_schedule(alpha, wom):
+    """Every message from every visited state, over four TimeCode periods."""
+    time_code, timep = TimeCode(alpha, wom), TimePCode(alpha, 1, wom)
+    assert time_code.period == 2 * timep.period
+    state = all_zero(wom.n_cells)
+    for i in range(1, 4 * time_code.period + 1):
+        count = time_code.message_count(i)
+        assert timep.message_count(i) == count
+        for m in range(1, count + 1):
+            nxt = time_code.encode(i, m, state)
+            assert timep.encode(i, m, state) == nxt
+            assert time_code.decode(i, nxt) == timep.decode(i, nxt) == m
+        state = time_code.encode(i, i % count + 1, state)
 
 
 def test_timep_even_keeps_reset_zero():

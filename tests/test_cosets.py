@@ -8,8 +8,7 @@ import hypothesis.strategies as st
 
 from tscc.core import all_zero, bits_from_int, check_constraint, psi, simulate
 from tscc.wwl import WwlParams, enumerate_wwl, is_wwl
-from tscc.cosets import (CosetCode, GoodCodeSearch, build_coset_code,
-                         find_good_code, greedy_double, is_s_good,
+from tscc.cosets import (CosetCode, GoodCodeSearch, find_good_code, is_s_good,
                          xor_autocorrelation)
 
 
@@ -64,12 +63,12 @@ def test_syndrome_surjectivity_equals_coverage():
     for basis in ([0b100100], [0b000001], [0b100100, 0b010010], [0b111000]):
         good, _ = is_s_good(basis, s_values, n)
         if good:
-            code = build_coset_code(n, params, basis)
+            code = CosetCode(n, params, basis)
             syndromes = {code._syndrome_int(x) for x in range(2 ** n)}
             assert len(syndromes) == code.message_count(1)
         else:
             with pytest.raises(ValueError, match="not S-good"):
-                build_coset_code(n, params, basis)
+                CosetCode(n, params, basis)
 
 
 # --- greedy search -----------------------------------------------------------
@@ -88,7 +87,7 @@ def test_greedy_q_squares_and_coverage_grows(n):
     prev_missed = search.missed
     prev_covered = search.covered
     while not search.is_good:
-        step = greedy_double(search)
+        step = search.double()
         assert step.missed * size <= prev_missed * prev_missed
         assert step.covered > prev_covered
         prev_missed, prev_covered = step.missed, step.covered
