@@ -19,13 +19,12 @@ on the strip graph whose width-1 case is the WWL codec's transfer graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from math import ceil, log2
 
 from .core import ConstraintParams
-from .wwl import WwlParams, _strip_graph, _walk_rows, wwl_capacity
+from .wwl import WwlParams, _strip_graph, _walk_count, wwl_capacity
 
 # published numeric upper bounds for the two smallest genuinely
 # two-dimensional cases; served verbatim, never recomputed
@@ -35,9 +34,9 @@ REFERENCE_2D = {
 }
 
 
-def upper_bound(alpha: int, beta: int, p: int, tol: float = 1e-9):
+def upper_bound(alpha: int, beta: int, p: int):
     """Capacity upper bound and its provenance tag."""
-    return _upper_bound(alpha, beta, p, partial(wwl_capacity, tol=tol))
+    return _upper_bound(alpha, beta, p, wwl_capacity)
 
 
 def _upper_bound(alpha, beta, p, capacity):
@@ -79,14 +78,13 @@ def _best_time_rate(alpha: int, p: int):
     return best_v, best_t
 
 
-def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False,
-                tol: float = 1e-9):
+def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False):
     """Best achievable-rate lower bound: (value, provenance, t_opt).
 
     t_opt is the write-once epoch length behind a time-construction
     value, None otherwise.
     """
-    return _lower_bound(alpha, beta, p, use_coset, partial(wwl_capacity, tol=tol))
+    return _lower_bound(alpha, beta, p, use_coset, wwl_capacity)
 
 
 def _lower_bound(alpha, beta, p, use_coset, capacity):
@@ -127,10 +125,10 @@ class BoundReport:
     t_opt: int | None = None
 
 
-def bounds_report(alpha: int, beta: int, p: int, *, use_coset: bool = False,
-                  tol: float = 1e-9) -> BoundReport:
-    lo, lo_prov, t_opt = lower_bound(alpha, beta, p, use_coset=use_coset, tol=tol)
-    hi, hi_prov = upper_bound(alpha, beta, p, tol=tol)
+def bounds_report(alpha: int, beta: int, p: int, *,
+                  use_coset: bool = False) -> BoundReport:
+    lo, lo_prov, t_opt = lower_bound(alpha, beta, p, use_coset=use_coset)
+    hi, hi_prov = upper_bound(alpha, beta, p)
     return BoundReport(alpha=alpha, beta=beta, p=p, lower=lo, lower_provenance=lo_prov,
                        upper=hi, upper_provenance=hi_prov, t_opt=t_opt)
 
@@ -169,8 +167,7 @@ def count_2d_arrays(a: int, b: int, p: int, m: int, n: int) -> Array2DCount:
     if (a - 1) * n > (b - 1) * m:
         a, b, m, n = b, a, n, m
     _, successors = _strip_graph(a, b, p, n)
-    last = deque(_walk_rows(successors, m - a + 1), maxlen=1).pop()
-    return Array2DCount(count=sum(last), **result_args)
+    return Array2DCount(count=_walk_count(successors, m - a + 1), **result_args)
 
 
 def parse_grid(text: str):

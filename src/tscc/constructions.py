@@ -23,8 +23,8 @@ from abc import ABC, abstractmethod
 from math import ceil, log2
 
 from .core import (Bits, ConstraintParams, RewritingCode, all_one, all_zero,
-                   bits_from_int, complement, format_state, hamming_weight,
-                   psi, xor)
+                   bits_from_int, check_state, complement, format_state,
+                   hamming_weight, parse_state, psi, xor)
 from .wwl import CountTable, WwlParams, count_wwl, rank, unrank
 
 
@@ -66,9 +66,7 @@ class TrivialCode(RewritingCode):
         return 1
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        self._check_message(write_index, message)
-        if len(current) != self.n_cells:
-            raise ValueError("state width mismatch")
+        current = self._check(write_index, current, message)
         phase = self._phase(write_index)
         if phase < self.q:
             return bits_from_int(message - 1, self.n_cells)
@@ -78,9 +76,10 @@ class TrivialCode(RewritingCode):
             for b, j in zip(bits, self.partial_cells):
                 state[j] = b
             return tuple(state)
-        return tuple(current)
+        return current
 
     def decode(self, write_index: int, current: Bits) -> int:
+        current = self._check(write_index, current)
         phase = self._phase(write_index)
         if phase < self.q:
             return psi(current) + 1
@@ -120,22 +119,18 @@ class SpaceCode(RewritingCode):
 
     def _split(self, state: Bits):
         np_, beta = self.nprime, self.params.beta
-        if len(state) != self.n_cells:
-            raise ValueError("state width mismatch")
         left, mid, right = state[:np_], state[np_:np_ + beta - 1], state[np_ + beta - 1:]
         if any(mid):
             raise ValueError("spacer cells must stay zero; state is not one this code wrote")
         return left, right
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        self._check_message(write_index, message)
-        left, _ = self._split(current)
+        left, _ = self._split(self._check(write_index, current, message))
         pattern = unrank(self.wwl, self.nprime, message, self._table)
         return xor(left, pattern) + all_zero(self.params.beta - 1) + left
 
     def decode(self, write_index: int, current: Bits) -> int:
-        self._check_write_index(write_index)
-        left, right = self._split(current)
+        left, right = self._split(self._check(write_index, current))
         return rank(self.wwl, xor(left, right), self._table)
 
     @property
@@ -163,11 +158,13 @@ class WomCode(ABC):
     @abstractmethod
     def decode_w(self, write_index: int, state: Bits) -> int: ...
 
-    def _check(self, write_index: int, message=None):
+    def _check(self, write_index: int, state=None, message=None):
+        """Validate a write index, and its message and state when given; return the state."""
         if not 1 <= write_index <= self.writes:
             raise ValueError(f"write index {write_index} outside [1:{self.writes}]")
         if message is not None and not 1 <= message <= self.message_count(write_index):
             raise ValueError(f"message {message} out of range on write {write_index}")
+        return None if state is None else check_state(state, self.n_cells)
 
 
 class RsWom(WomCode):
@@ -190,8 +187,7 @@ class RsWom(WomCode):
         return 4
 
     def encode_w(self, write_index: int, message: int, state: Bits) -> Bits:
-        self._check(write_index, message)
-        state = tuple(state)
+        state = self._check(write_index, state, message)
         if write_index == 1:
             if any(state):
                 raise ValueError("write 1 starts from the all-zero state")
@@ -203,8 +199,7 @@ class RsWom(WomCode):
         return complement(self._patterns[message - 1])
 
     def decode_w(self, write_index: int, state: Bits) -> int:
-        self._check(write_index)
-        state = tuple(state)
+        state = self._check(write_index, state)
         if hamming_weight(state) < 2:
             probe = state
         else:
@@ -234,16 +229,12 @@ class BitPerWriteWom(WomCode):
         return 2
 
     def encode_w(self, write_index: int, message: int, state: Bits) -> Bits:
-        self._check(write_index, message)
-        if len(state) != self.n_cells:
-            raise ValueError("state width mismatch")
-        out = list(state)
+        out = list(self._check(write_index, state, message))
         out[write_index - 1] = message - 1
         return tuple(out)
 
     def decode_w(self, write_index: int, state: Bits) -> int:
-        self._check(write_index)
-        return state[write_index - 1] + 1
+        return self._check(write_index, state)[write_index - 1] + 1
 
 
 class TabulatedWom(WomCode):
@@ -275,8 +266,7 @@ class TabulatedWom(WomCode):
             enc_i, dec_i = {}, {}
             nxt = set()
             for (state, m), target in table.items():
-                if len(state) != n_cells or len(target) != n_cells:
-                    raise ValueError(f"write {i}: transition width mismatch")
+                state, target = check_state(state, n_cells), check_state(target, n_cells)
                 if any(s > t for s, t in zip(state, target)):
                     raise ValueError(
                         f"write {i}: transition {format_state(state)} -> "
@@ -304,18 +294,18 @@ class TabulatedWom(WomCode):
         return self._counts[write_index - 1]
 
     def encode_w(self, write_index: int, message: int, state: Bits) -> Bits:
-        self._check(write_index, message)
+        state = self._check(write_index, state, message)
         try:
-            return self._enc[write_index][(tuple(state), message)]
+            return self._enc[write_index][(state, message)]
         except KeyError:
             raise ValueError(
                 f"write {write_index}: state {format_state(state)} is not reachable "
                 "in this table") from None
 
     def decode_w(self, write_index: int, state: Bits) -> int:
-        self._check(write_index)
+        state = self._check(write_index, state)
         try:
-            return self._dec[write_index][tuple(state)]
+            return self._dec[write_index][state]
         except KeyError:
             raise ValueError(
                 f"write {write_index}: state {format_state(state)} is not a codeword"
@@ -351,9 +341,11 @@ def parse_wom_table(text: str) -> TabulatedWom:
             raise ValueError("transition line before any 'write i' header")
         if len(parts) != 4 or parts[2] != "->":
             raise ValueError(f"bad transition line: {ln!r}")
-        state = tuple(int(ch) for ch in parts[0])
-        target = tuple(int(ch) for ch in parts[3])
-        transitions[current][(state, int(parts[1]))] = target
+        try:
+            key = parse_state(parts[0]), int(parts[1])
+            transitions[current][key] = parse_state(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"bad transition line {ln!r}: {exc}") from None
     return TabulatedWom(n_cells, writes, transitions)
 
 
@@ -427,7 +419,7 @@ class TimePCode(RewritingCode):
         return 1
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        self._check_message(write_index, message)
+        current = self._check(write_index, current, message)
         slot, up_start = self._locate(write_index)
         t = self.t
         if slot <= self.p * t:
@@ -441,9 +433,10 @@ class TimePCode(RewritingCode):
             if self._alternating and up_start:
                 return all_one(self.n_cells)
             return all_zero(self.n_cells)
-        return tuple(current)
+        return current
 
     def decode(self, write_index: int, current: Bits) -> int:
+        current = self._check(write_index, current)
         slot, up_start = self._locate(write_index)
         t = self.t
         if slot <= self.p * t:
@@ -522,13 +515,14 @@ class DilutedTimeCode(RewritingCode):
         return self.inner.message_count(inner) if inner else 1
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        self._check_message(write_index, message)
+        current = self._check(write_index, current, message)
         inner = self._inner_index(write_index)
         if inner is None:
-            return tuple(current)
+            return current
         return self.inner.encode(inner, message, current)
 
     def decode(self, write_index: int, current: Bits) -> int:
+        current = self._check(write_index, current)
         inner = self._inner_index(write_index)
         return self.inner.decode(inner, current) if inner else 1
 
@@ -557,8 +551,6 @@ class DilutedSpaceCode(RewritingCode):
         self.period = inner.period
 
     def _project(self, state: Bits) -> Bits:
-        if len(state) != self.n_cells:
-            raise ValueError("state width mismatch")
         beta = self.params.beta
         for j, b in enumerate(state):
             if j % beta and b:
@@ -576,10 +568,11 @@ class DilutedSpaceCode(RewritingCode):
         return self.inner.message_count(write_index)
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        return self._expand(self.inner.encode(write_index, message, self._project(current)))
+        current = self._project(self._check(write_index, current, message))
+        return self._expand(self.inner.encode(write_index, message, current))
 
     def decode(self, write_index: int, current: Bits) -> int:
-        return self.inner.decode(write_index, self._project(current))
+        return self.inner.decode(write_index, self._project(self._check(write_index, current)))
 
     @property
     def theoretical_rate(self) -> float:

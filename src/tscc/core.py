@@ -5,9 +5,11 @@ vector; its cost at a cell is 1 exactly when the cell value changes.
 The (alpha, beta, p) constraint bounds the total cost inside any window
 of alpha consecutive writes and beta contiguous cells by p.
 
-This module holds the shared vocabulary: state vectors as 0/1 tuples,
-write sequences, the flip matrix, the window checker, and the abstract
-encoder/decoder interface every code construction implements.
+This module holds the shared vocabulary and decides what a state is:
+a code state is a tuple of n cells, each 0 or 1 (check_state), and a
+write sequence is one read-only (writes + 1) x n uint8 array of such
+cells.  It also holds the flip matrix, the window checker, and the
+abstract encoder/decoder interface every code construction implements.
 """
 
 from __future__ import annotations
@@ -44,6 +46,18 @@ def parse_state(text: str) -> Bits:
     return tuple(int(ch) for ch in text)
 
 
+def check_state(state, n: int) -> Bits:
+    """The state as a tuple of n cells, each 0 or 1; ValueError otherwise.
+
+    A trace row (uint8 array) becomes Python ints, which shifts such as
+    psi() need: uint8 arithmetic would wrap past 8 cells.
+    """
+    state = tuple(state.tolist() if isinstance(state, np.ndarray) else state)
+    if len(state) != n or not {0, 1}.issuperset(state):
+        raise ValueError(f"a state must be {n} cells, each 0 or 1; got {state}")
+    return state
+
+
 def format_state(bits: Bits) -> str:
     return "".join(str(b) for b in bits)
 
@@ -65,13 +79,6 @@ def bits_from_int(value: int, width: int) -> Bits:
 
 def hamming_weight(bits: Bits) -> int:
     return sum(bits)
-
-
-def hamming_distance(u: Bits, v: Bits) -> int:
-    """Number of positions where u and v differ."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a != b for a, b in zip(u, v))
 
 
 def xor(u: Bits, v: Bits) -> Bits:
@@ -120,31 +127,28 @@ class ConstraintParams:
 class WriteSequence:
     """An initial state followed by the state after each write.
 
+    `states` is a read-only (writes + 1) x n uint8 array of 0/1 cells.
     The initial state is pinned to all-zero, matching how every
     construction here starts; traces loaded from external files may
     override that explicitly.
     """
 
     def __init__(self, states, *, allow_nonzero_start=False):
-        states = tuple(tuple(s) for s in states)
-        if not states:
-            raise ValueError("a write sequence needs at least the initial state")
-        n = len(states[0])
-        if n == 0:
-            raise ValueError("states must have at least one cell")
-        for i, s in enumerate(states):
-            if len(s) != n:
-                raise ValueError(f"state {i} has {len(s)} cells, expected {n}")
-            if any(b not in (0, 1) for b in s):
-                raise ValueError(f"state {i} has non-binary entries")
-        if any(states[0]) and not allow_nonzero_start:
+        given = np.asarray(states)  # ragged rows raise ValueError here
+        if given.ndim != 2 or not given.size:
+            raise ValueError("a write sequence needs at least one state of at least one cell")
+        binary = (given == 0) | (given == 1)
+        if not binary.all():
+            raise ValueError(f"state {int(binary.all(axis=1).argmin())} has non-binary entries")
+        if given[0].any() and not allow_nonzero_start:
             raise ValueError("initial state must be all-zero "
                              "(pass allow_nonzero_start=True for external traces)")
-        self.states = states
+        self.states = given.astype(np.uint8)
+        self.states.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.states[0])
+        return self.states.shape[1]
 
     @property
     def writes(self) -> int:
@@ -154,7 +158,7 @@ class WriteSequence:
         return len(self.states)
 
     def __eq__(self, other):
-        return isinstance(other, WriteSequence) and self.states == other.states
+        return isinstance(other, WriteSequence) and np.array_equal(self.states, other.states)
 
     @classmethod
     def from_lines(cls, lines, *, allow_nonzero_start=True):
@@ -163,18 +167,18 @@ class WriteSequence:
         Blank lines are skipped and surrounding whitespace stripped, as
         check_lines() does.
         """
-        states = np.concatenate(list(_state_blocks(lines)))
-        return cls(states.tolist(), allow_nonzero_start=allow_nonzero_start)
+        return cls(np.concatenate(list(_state_blocks(lines))),
+                   allow_nonzero_start=allow_nonzero_start)
 
     def to_lines(self):
-        return [format_state(s) for s in self.states]
+        return (self.states + ord("0")).view(f"S{self.n}").ravel().astype(str).tolist()
 
 
 def flip_matrix(ws: WriteSequence):
-    """Rows of cell flips: row i is states[i] XOR states[i-1], i >= 1."""
+    """Cell flips as a writes x n uint8 array: row i - 1 is states[i] XOR states[i - 1]."""
     if ws.writes == 0:
         raise ValueError("write sequence has no writes, flip matrix is empty")
-    return tuple(xor(ws.states[i], ws.states[i - 1]) for i in range(1, len(ws.states)))
+    return ws.states[1:] ^ ws.states[:-1]
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
     scan = _WindowScan(ws.n, params)
     rows = _block_rows(ws.n)
     for i in range(0, len(ws.states), rows):
-        scan.feed(np.array(ws.states[i:i + rows], dtype=np.uint8))
+        scan.feed(ws.states[i:i + rows])
     return scan.finish()
 
 
@@ -381,11 +385,16 @@ class RewritingCode(ABC):
         if not isinstance(write_index, int) or write_index < 1:
             raise ValueError(f"write index must be a positive integer, got {write_index!r}")
 
-    def _check_message(self, write_index: int, message: int):
-        count = self.message_count(write_index)
-        if not 1 <= message <= count:
-            raise ValueError(
-                f"message {message} out of range [1:{count}] on write {write_index}")
+    def _check(self, write_index: int, current, message: int | None = None) -> Bits:
+        """Validate a write's index, its message when given, and its state; return the state."""
+        if message is None:
+            self._check_write_index(write_index)
+        else:
+            count = self.message_count(write_index)
+            if not 1 <= message <= count:
+                raise ValueError(
+                    f"message {message} out of range [1:{count}] on write {write_index}")
+        return check_state(current, self.n_cells)
 
 
 @dataclass(frozen=True)

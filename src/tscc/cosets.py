@@ -278,14 +278,12 @@ class CosetCode(RewritingCode):
         return 1 << (self.n_cells - self.k)
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
-        self._check_message(write_index, message)
-        x = psi(current)
+        x = psi(self._check(write_index, current, message))
         pattern = self._rep[self._syndrome_int(x) ^ (message - 1)]
         return bits_from_int(x ^ pattern, self.n_cells)
 
     def decode(self, write_index: int, current: Bits) -> int:
-        self._check_write_index(write_index)
-        return self._syndrome_int(psi(current)) + 1
+        return self._syndrome_int(psi(self._check(write_index, current))) + 1
 
     @property
     def theoretical_rate(self) -> float:

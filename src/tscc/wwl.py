@@ -17,12 +17,14 @@ it is the width-1 case of the strip graph that counts 2D arrays.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb, log2
 
 import numpy as np
 
-from .core import Bits, ConvergenceError, ResourceLimitError, bits_from_int
+from .core import (Bits, ConvergenceError, ResourceLimitError, bits_from_int,
+                   check_state)
 
 # Entries one graph build may hold: two successor slots per state in the
 # transfer graph, M * M in the dense view, a strip graph's row-weight
@@ -141,6 +143,11 @@ def _walk_rows(successors, steps: int):
         yield row
 
 
+def _walk_count(successors, steps: int) -> int:
+    """Exact number of walks of `steps` steps, keeping one row of counts at a time."""
+    return sum(deque(_walk_rows(successors, steps), maxlen=1).pop())
+
+
 def build_state_set(params: WwlParams):
     """The admissible prefixes as 0/1 tuples, in state-index (value) order.
 
@@ -150,26 +157,11 @@ def build_state_set(params: WwlParams):
     return tuple(bits_from_int(s, params.beta - 1) for s in states)
 
 
-def merge(u: Bits, v: Bits):
-    """Overlap-merge of two equal-length vectors, or None when they disagree.
-
-    When the last len-1 bits of u equal the first len-1 bits of v the
-    result is u extended by the last bit of v: the unique window a
-    prefix u can slide into v through.
-    """
-    if len(u) != len(v):
-        raise ValueError("merge needs equal-length vectors")
-    if len(u) == 0:
-        raise ValueError("merge is undefined for empty vectors")
-    if u[1:] != v[:-1]:
-        return None
-    return u + (v[-1],)
-
-
 def build_transition_matrix(params: WwlParams):
     """Dense view of the transfer graph: [i][j] counts the bits taking i to j.
 
-    Entry [i][j] is 1 when the merged beta-window keeps weight <= p; for
+    Entry [i][j] is 1 when state i slides into state j by one bit and
+    the beta-window spanning both keeps weight <= p; for
     beta = 1 the double self-loop gives the 1x1 matrix [[2]].
     """
     m = state_count(params)
@@ -236,6 +228,9 @@ def _power_bracket(adj, tol: float, max_iter: int) -> EigenEstimate:
     a step is one numpy gather per column position, added left to right:
     the IEEE operations, in order, of summing each row in Python.
     """
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError(f"power iteration needs tol > 0 and max_iter >= 1, "
+                         f"got tol={tol!r}, max_iter={max_iter!r}")
     size = len(adj)
     depth = max(1, max(map(len, adj)))
     pad = [(size, 0)] * depth
@@ -352,12 +347,15 @@ class CountTable:
 
 
 def count_wwl(params: WwlParams, n: int) -> int:
-    """Number of admissible vectors of length n, as an exact integer."""
+    """Number of admissible vectors of length n, as an exact integer.
+
+    Counted as transfer-graph walks in memory that does not grow with n.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n < params.beta - 1:
         return sum(comb(n, i) for i in range(min(params.p, n) + 1))
-    return CountTable(params, n - params.beta + 2).row_sum(n)
+    return _walk_count(_transfer_graph(params)[1], n - params.beta + 1)
 
 
 def wwl_values(params: WwlParams, n: int) -> np.ndarray:
@@ -405,8 +403,7 @@ def rank(params: WwlParams, c: Bits, table: CountTable | None = None) -> int:
     n = len(c)
     if n < 1:
         raise ValueError("vector must be nonempty")
-    if any(b not in (0, 1) for b in c):
-        raise ValueError("vector entries must be 0/1")
+    check_state(c, n)
     if not is_wwl(params, c):
         raise ValueError(f"vector {''.join(map(str, c))} violates the "
                          f"({params.beta},{params.p}) window limit")

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,16 @@ CAPACITY_GOLDEN = {
 def test_capacity_golden_output(capsys, beta, p):
     code, out, _ = run_cli(capsys, "capacity", "wwl", "--beta", str(beta), "--p", str(p))
     assert code == 0 and out == CAPACITY_GOLDEN[beta, p] + "\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_capacity_rejects_a_degenerate_tolerance_at_once(capsys, tol):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "capacity", "wwl", "--beta", "3", "--p", "1",
+                             "--tol", tol)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "tol > 0" in err and "Traceback" not in err
 
 
 def test_capacity_over_graph_limit_exits_2(capsys):
@@ -337,6 +348,15 @@ def test_simulate_wom_from_file(capsys, tmp_path):
     got = run_json(capsys, "simulate", "--construction", "time", "--alpha", "3",
                    "--wom", f"file:{table}", "--writes", "30", "--seed", "4")
     assert got["verdict"] == "satisfied"
+
+
+def test_simulate_wom_file_with_a_non_binary_cell_names_the_line(capsys, tmp_path):
+    table = tmp_path / "wom.txt"
+    table.write_text("1 1\nwrite 1\n0 1 -> 0\n0 2 -> 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--construction", "time", "--alpha", "2",
+                             "--wom", f"file:{table}", "--writes", "8")
+    assert (code, out) == (2, "")
+    assert "'0 2 -> 2'" in err and "Traceback" not in err
 
 
 def test_findgood_schema(capsys):

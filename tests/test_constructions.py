@@ -10,6 +10,8 @@ from tscc.constructions import (BitPerWriteWom, DilutedSpaceCode,
                                 TabulatedWom, TimeCode, TimePCode, TrivialCode,
                                 parse_wom_table, timep_code,
                                 timep_theoretical_rate)
+from tscc.cosets import find_good_code
+from tscc.wwl import WwlParams
 
 
 def assert_valid_run(code, periods=3, seed=11):
@@ -90,7 +92,8 @@ def test_space_reachable_state_invariant():
     result = assert_valid_run(code, periods=40)
     np_, beta = 5, 2
     prev_left = all_zero(np_)
-    for state in result.trace.states[1:]:
+    for state in result.trace.states[1:].tolist():
+        state = tuple(state)
         left = state[:np_]
         mid = state[np_:np_ + beta - 1]
         right = state[np_ + beta - 1:]
@@ -227,9 +230,10 @@ def test_time_code_trace_and_monotone_phases():
     code = TimeCode(4, RsWom())
     result = assert_valid_run(code, periods=6, seed=3)
     t, alpha, n = 2, 4, 3
-    for idx in range(1, len(result.trace.states)):
+    states = result.trace.states.tolist()
+    for idx in range(1, len(states)):
         slot = (idx - 1) % code.period + 1
-        prev, cur = result.trace.states[idx - 1], result.trace.states[idx]
+        prev, cur = states[idx - 1], states[idx]
         if slot <= t + 1:
             assert all(a <= b for a, b in zip(prev, cur))  # ascending half
         elif t + alpha + 1 <= slot <= 2 * t + alpha + 1:
@@ -329,8 +333,9 @@ def test_diluted_time_stretches_constraint():
     assert code.period == 2
     result = assert_valid_run(code, periods=20)
     # padding writes change nothing
-    for idx in range(2, len(result.trace.states), 2):
-        assert result.trace.states[idx] == result.trace.states[idx - 1]
+    states = result.trace.states.tolist()
+    for idx in range(2, len(states), 2):
+        assert states[idx] == states[idx - 1]
     assert measure_rate(code, 20).rate == pytest.approx(inner.theoretical_rate / 2)
 
 
@@ -359,3 +364,39 @@ def test_diluted_space_rejects_foreign_state():
     bad = (0, 1, 0, 0)
     with pytest.raises(ValueError, match="padding"):
         code.encode(1, 1, bad)
+
+
+# --- state rule shared by every construction -----------------------------------
+
+SEVEN_CODES = {
+    "trivial": lambda: TrivialCode(3, 3, 2, 15),
+    "space": lambda: SpaceCode(3, 2, 4),
+    "time": lambda: TimeCode(3, BitPerWriteWom(2)),
+    "timep": lambda: TimePCode(4, 2, BitPerWriteWom(1)),
+    "dilute-time": lambda: DilutedTimeCode(SpaceCode(3, 2, 4), 2),
+    "dilute-space": lambda: DilutedSpaceCode(TimeCode(4, RsWom()), 3),
+    "coset": lambda: find_good_code(8, WwlParams(3, 2))[1],
+}
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "holds-2"])
+@pytest.mark.parametrize("name", list(SEVEN_CODES))
+def test_codes_reject_states_that_are_not_n_binary_cells(name, fault):
+    code = SEVEN_CODES[name]()
+    zero = all_zero(code.n_cells)
+    bad = {"short": zero[1:], "long": zero + (0,), "holds-2": (2,) + zero[1:]}[fault]
+    with pytest.raises(ValueError, match=f"must be {code.n_cells} cells, each 0 or 1"):
+        code.encode(1, 1, bad)
+    with pytest.raises(ValueError, match=f"must be {code.n_cells} cells, each 0 or 1"):
+        code.decode(1, bad)
+    assert code.decode(1, code.encode(1, 1, zero)) == 1
+
+
+@pytest.mark.parametrize("name", list(SEVEN_CODES))
+def test_codes_decode_trace_rows(name):
+    code = SEVEN_CODES[name]()
+    result = simulate(code, 2 * code.period, seed=3)
+    rows = result.trace.states
+    assert [code.decode(i, rows[i]) for i in range(1, len(rows))] == list(result.messages)
+    state = code.encode(1, code.message_count(1), rows[0])
+    assert isinstance(state, tuple) and all(type(b) is int for b in state)

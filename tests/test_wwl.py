@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 from tscc.core import ConvergenceError, ResourceLimitError, all_zero, bits_from_int, psi
 from tscc.wwl import (CountTable, WwlParams, build_state_set,
                       build_transition_matrix, count_wwl, dominant_eigenvalue,
-                      enumerate_wwl, is_irreducible, is_wwl, merge, rank,
+                      enumerate_wwl, is_irreducible, is_wwl, rank,
                       state_count, unrank, wwl_capacity, wwl_values)
 
 GRID = [(b, p) for b in range(1, 7) for p in range(1, b + 1)]
@@ -54,14 +55,6 @@ def test_state_set_sorted_and_counted(beta, p):
     assert len(set(values)) == len(values)
 
 
-def test_merge_overlap():
-    assert merge((0, 0), (0, 1)) == (0, 0, 1)
-    assert merge((0, 1), (0, 0)) is None
-    assert merge((1, 0), (0, 1)) == (1, 0, 1)
-    with pytest.raises(ValueError):
-        merge((0, 1), (0,))
-
-
 def test_transition_matrix_golden_32():
     assert build_transition_matrix(WwlParams(3, 2)) == [
         [1, 1, 0, 0],
@@ -73,15 +66,14 @@ def test_transition_matrix_golden_32():
 
 @pytest.mark.parametrize("beta,p", [(b, p) for b, p in GRID if b > 1])
 def test_transition_matrix_matches_merge_rule(beta, p):
-    """Entry (i,j) is 1 exactly when the states merge into a light window."""
+    """Entry (i,j) is 1 exactly when i slides into j and the window spanning both is light."""
     params = WwlParams(beta, p)
     states = build_state_set(params)
     a = build_transition_matrix(params)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
-            w = merge(si, sj)
-            expect = 1 if w is not None and sum(w) <= p else 0
-            assert a[i][j] == expect
+            light = si[1:] == sj[:-1] and sum(si) + sj[-1] <= p
+            assert a[i][j] == (1 if light else 0)
 
 
 def test_beta_one_degenerates_to_free_channel():
@@ -114,6 +106,8 @@ def test_dominant_eigenvalue_iteration_cap():
         dominant_eigenvalue(build_transition_matrix(WwlParams(6, 3)), max_iter=2)
     est = err.value.estimate
     assert est.lower <= est.upper and est.iterations == 2
+    with pytest.raises(ValueError, match="max_iter >= 1"):
+        dominant_eigenvalue(build_transition_matrix(WwlParams(6, 3)), max_iter=0)
 
 
 def test_eigenvalue_never_exceeds_two():
@@ -203,6 +197,16 @@ def test_count_table_rows_sum_to_counts(beta, p):
     table = CountTable(params, 9)
     for length in range(max(table.min_length, 1), table.max_length + 1):
         assert table.row_sum(length) == count_wwl(params, length)
+
+
+def test_count_memory_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        count_wwl(WwlParams(3, 1), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # --- rank / unrank -----------------------------------------------------------
