@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from math import log2
+from math import isqrt, log2
 from random import Random
 
 import numpy as np
@@ -66,7 +66,7 @@ def psi(bits: Bits) -> int:
     """Decimal value of a state; cell 1 is the most significant bit."""
     value = 0
     for b in bits:
-        value = (value << 1) | b
+        value = (value << 1) | int(b)
     return value
 
 
@@ -205,13 +205,12 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
     complete window and need no separate test.
 
     Returns the first violation in (write, cell) lexicographic order.
-    The states are checked in row blocks, as check_lines() checks a file.
+    States are checked in row blocks, as check_lines() checks a file, in
+    the narrowest unsigned types that hold the costs exactly.
     """
-    scan = _WindowScan(ws.n, params)
     rows = _block_rows(ws.n)
-    for i in range(0, len(ws.states), rows):
-        scan.feed(ws.states[i:i + rows])
-    return scan.finish()
+    blocks = (ws.states[i:i + rows] for i in range(0, len(ws.states), rows))
+    return _check_blocks(blocks, params)[0]
 
 
 def check_lines(lines, params: ConstraintParams):
@@ -222,12 +221,7 @@ def check_lines(lines, params: ConstraintParams):
     Window checks stop at the first violation, but every later line is
     still read and validated.  Returns (verdict, writes, cells).
     """
-    scan = None
-    for block in _state_blocks(lines):
-        if scan is None:
-            scan = _WindowScan(block.shape[1], params)
-        scan.feed(block)
-    return scan.finish(), scan.writes, scan.n
+    return _check_blocks(_state_blocks(lines), params)
 
 
 # Cells per row block when states are parsed or checked in pieces.
@@ -275,84 +269,90 @@ def _parse_block(block, first: int, n: int):
     return cells.reshape(len(block), n)
 
 
-class _WindowScan:
-    """The window check of check_constraint() over states fed in row blocks.
+def _check_blocks(blocks, params: ConstraintParams):
+    """check_lines() on states given in row blocks: (verdict, writes, cells).
 
-    Carries the last state, each cell's cost over the alpha writes up to
-    the last one, and the flip blocks holding the last alpha writes,
-    whose flips leave that window next.  Work per block is O(rows * n).
-    Windows of one length end in the order they start, so the first
-    window found over budget is the first in (write, cell) order; after
-    it, blocks are only counted.
+    _window_sums() sums each write's flips over every beta adjacent cells;
+    buf sums those over writes 1 .. t for each t of the block and the
+    alpha before it, so rows alpha apart differ by window costs.  Sums are
+    kept in the narrowest unsigned type holding their bound, beta or
+    alpha * beta; no window costs more, so differences of sums wrapping
+    modulo 2^bits are exact.  Windows of one length end in the order they
+    start, so the first over budget is the first in (write, cell) order.
     """
-
-    def __init__(self, n: int, params: ConstraintParams):
-        if n < params.beta:
-            raise ValueError(f"sequence has {n} cells, narrower than beta={params.beta}")
-        self.n, self.params = n, params
-        self.writes = 0
-        self.verdict = None
-        # cell prefix sums of one window's column costs stay <= alpha * n
-        self._acc = np.int32 if params.alpha * n <= np.iinfo(np.int32).max else np.int64
-        self._last = None
-        self._col = np.zeros(n, dtype=self._acc)
-        # (first write, flips) blocks, oldest first; writes before 1 flip
-        # nothing, a zero-stride view that takes no memory
-        self._recent = [(1 - params.alpha,
-                         np.broadcast_to(np.zeros(n, np.uint8), (params.alpha, n)))]
-
-    def feed(self, states):
-        if self._last is None:
-            self._last, states = states[0], states[1:]
-        done, k = self.writes, len(states)
-        self.writes += k
-        if k == 0 or self.verdict is not None:
-            return
-        flips = np.empty_like(states)
-        np.bitwise_xor(states[0], self._last, out=flips[0])
+    alpha, beta, writes, verdict, last = params.alpha, params.beta, 0, None, None
+    for states in blocks:
+        if last is None:
+            n = states.shape[1]
+            if n < beta:
+                raise ValueError(f"sequence has {n} cells, narrower than beta={beta}")
+            # no file holds 2^64 flips, so uint64 is exact for any larger budget
+            buf = np.zeros((1, n - beta + 1), np.min_scalar_type(min(alpha * beta, 2 ** 64 - 1)))
+            end, last, states = 1, states[0], states[1:]  # buf[end - 1]: writes 1 .. `writes`
+        done, k = writes, len(states)
+        writes += k
+        if k == 0 or verdict is not None:
+            continue
+        if end + k > len(buf):  # keep the rows later windows subtract, with room to double
+            keep = min(alpha, done + 1)
+            held = buf[end - keep:end]
+            if 2 * (keep + k) > len(buf):
+                buf = np.empty((2 * (keep + k), buf.shape[1]), buf.dtype)
+            buf[:keep], end = held, keep
+        flips = np.empty(states.shape, np.min_scalar_type(beta))
+        np.bitwise_xor(states[0], last, out=flips[0])
         np.bitwise_xor(states[1:], states[:-1], out=flips[1:])
-        self._last = states[-1]
-        alpha = self.params.alpha
-        self._recent.append((done + 1, flips))
-        # col[r]: column costs of the window ending at write done + 1 + r
-        col = flips.astype(self._acc)
-        col -= self._flips(done + 1 - alpha, k)
-        np.cumsum(col, axis=0, out=col)
-        col += self._col
-        self._col = col[-1]
-        while self._recent[0][0] + len(self._recent[0][1]) <= self.writes + 1 - alpha:
-            del self._recent[0]
+        last = states[-1]
+        buf[end:end + k] = _window_sums(flips, beta)
+        _cumsum_rows(buf[end - 1:end + k])
         skip = max(alpha - 1 - done, 0)  # windows ending before write alpha are clipped
         if skip < k:
-            self._test(col[skip:], done + skip + 2 - alpha)
+            cost = buf[end + skip:end + k] - buf[end + skip - alpha:end + k - alpha]
+            verdict = _first_over(cost, params.p, done + skip + 2 - alpha)
+        end += k
+    if verdict is None and 0 < writes < alpha:
+        verdict = _first_over(buf[end - 1:end], params.p, 1)
+    return ConstraintVerdict(True) if verdict is None else verdict, writes, n
 
-    def finish(self) -> ConstraintVerdict:
-        if self.verdict is None and 0 < self.writes < self.params.alpha:
-            self._test(self._col[None], 1)
-        return ConstraintVerdict(True) if self.verdict is None else self.verdict
 
-    def _flips(self, start: int, k: int):
-        """Flip rows of writes start .. start + k - 1."""
-        parts = []
-        for first, flips in self._recent:
-            lo, hi = max(start - first, 0), min(start + k - first, len(flips))
-            if lo < hi:
-                parts.append(flips[lo:hi])
-        return np.concatenate(parts)
+def _first_over(cost, p: int, write: int):
+    """The first window over budget p, or None; cost[r, j] is the cost of
+    the window of writes from write + r and cells from j + 1."""
+    over = cost > p
+    if over.any():
+        r, j = divmod(int(over.argmax()), cost.shape[1])
+        return ConstraintVerdict(False, write=write + r, cell=j + 1, cost=int(cost[r, j]))
 
-    def _test(self, col, write: int):
-        """Record the first window over budget; col[r] starts at write + r."""
-        beta = self.params.beta
-        by_cell = np.zeros((len(col), self.n + 1), dtype=self._acc)
-        np.cumsum(col, axis=1, out=by_cell[:, 1:])
-        cost = by_cell[:, beta:] - by_cell[:, :-beta]
-        over = cost > self.params.p
-        first = int(over.argmax())
-        if over.flat[first]:
-            r, j = divmod(first, cost.shape[1])
-            self.verdict = ConstraintVerdict(False, write=write + r, cell=j + 1,
-                                             cost=int(cost.flat[first]))
-            self._recent = []
+
+def _cumsum_rows(s):
+    """np.cumsum(s, axis=0, out=s), which walks each column a cell at a time,
+    as about 2 sqrt(rows) adds: within groups of g rows, then across them."""
+    g = isqrt(len(s))
+    for i in range(1, g):
+        s[i::g] += s[i - 1:-1:g]
+    for j in range(g, len(s), g):
+        s[j:j + g] += s[j - 1]
+
+
+def _window_sums(a, width: int):
+    """Sums of `width` adjacent entries along each row of a, in its type.
+
+    Doubling over the flattened rows, O(log width) adds: run sums `size`
+    adjacent entries, the sizes in width's binary form are added side by
+    side, and sums that cross a row end are dropped.
+    """
+    rows, n = a.shape
+    run, size, span = a.reshape(-1), 1, 0
+    out = np.zeros(rows * n, a.dtype)
+    end = len(out) - width + 1
+    while True:
+        if width & size:
+            out[:end] += run[span:span + end]
+            span += size
+        if 2 * size > width:
+            return out.reshape(rows, n)[:, :n - width + 1]
+        run = run[:-size] + run[size:]
+        size *= 2
 
 
 class RewritingCode(ABC):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ def test_psi_is_msb_first():
     assert psi((1, 1, 0, 0, 0)) == 24
     assert psi((0, 0, 0)) == 0
     assert psi((0, 1)) == 1
+
+
+@pytest.mark.parametrize("width", [12, 64])
+def test_psi_reads_numpy_cells_as_ints(width):
+    # int | np.uint8 stays uint8 under NumPy 2 promotion, which would wrap at 8 cells
+    assert psi(tuple(np.ones(width, np.uint8))) == 2 ** width - 1
+    cells = np.zeros(width, np.uint8)
+    cells[0] = 1
+    assert psi(tuple(cells)) == 2 ** (width - 1)
 
 
 @given(st.integers(0, 2 ** 12 - 1))
@@ -192,11 +202,10 @@ def test_verdict_is_truthy_only_when_satisfied():
     assert not bool(check_constraint(ws, ConstraintParams(1, 2, 1)))
 
 
-def assert_streams_match_naive(ws, params):
-    """check_constraint and check_lines against naive_check at 1-3 rows a block."""
-    expect = naive_check(ws, params)
+def assert_streams_match(ws, params, expect, rows_per_block=(1, 2, 3)):
+    """check_constraint and check_lines give `expect` at each block size."""
     lines = ws.to_lines()
-    for rows in (1, 2, 3):
+    for rows in rows_per_block:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_BLOCK_CELLS", rows * ws.n)
             verdict, writes, cells = check_lines(lines, params)
@@ -206,6 +215,11 @@ def assert_streams_match_naive(ws, params):
             assert verdict.satisfied
         else:
             assert (verdict.write, verdict.cell, verdict.cost) == expect
+
+
+def assert_streams_match_naive(ws, params):
+    """check_constraint and check_lines against naive_check at 1-3 rows a block."""
+    assert_streams_match(ws, params, naive_check(ws, params))
 
 
 @settings(max_examples=300)
@@ -241,11 +255,67 @@ def test_streamed_checker_cases(rows, alpha, beta, p, expect):
     assert_streams_match_naive(ws, ConstraintParams(alpha, beta, p))
 
 
+def box_sum_check(ws, params):
+    """First (write, cell, cost) over budget from an int64 box-sum table, or None."""
+    if ws.writes == 0:
+        return None
+    a, b = min(params.alpha, ws.writes), params.beta
+    table = np.zeros((ws.writes + 1, ws.n + 1), np.int64)
+    table[1:, 1:] = flip_matrix(ws).astype(np.int64).cumsum(0).cumsum(1)
+    cost = table[a:, b:] - table[:-a, b:] - table[a:, :-b] + table[:-a, :-b]
+    over = np.argwhere(cost > params.p)
+    if not len(over):
+        return None
+    i, j = over[0]
+    return (int(i) + 1, int(j) + 1, int(cost[i, j]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_streamed_checker_matches_box_sums(data):
+    # alpha is mostly longer than a block of 1-5 rows
+    n = data.draw(st.integers(1, 48))
+    m = data.draw(st.integers(0, 60))
+    density = data.draw(st.sampled_from([0.05, 0.3, 0.9]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ws = WriteSequence(rng.random((m + 1, n)) < density, allow_nonzero_start=True)
+    alpha = data.draw(st.integers(1, 40))
+    beta = data.draw(st.integers(1, n))
+    p = data.draw(st.integers(1, min(alpha, max(m, 1)) * beta + 1))
+    params = ConstraintParams(alpha, beta, p)
+    rows = data.draw(st.integers(1, 5))
+    assert_streams_match(ws, params, box_sum_check(ws, params), (rows,))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    # window costs alpha * beta on both sides of the uint8 and uint16 limits,
+    # with beta alone on both sides of 255 | 256 too
+    (15, 17), (1, 255), (16, 16), (1, 256), (255, 257), (256, 256)])
+def test_checker_is_exact_at_type_limits(alpha, beta):
+    # every cell flips on every write, so every window costs alpha * beta
+    # and each cell's sums over writes run far past the type's limit
+    ws = WriteSequence([(k % 2,) * (beta + 2) for k in range(alpha + 3)])
+    assert_streams_match(ws, ConstraintParams(alpha, beta, alpha * beta - 1), (1, 1, alpha * beta))
+    assert_streams_match(ws, ConstraintParams(alpha, beta, alpha * beta), None)
+
+
 def test_checker_memory_does_not_follow_alpha():
     # a ring of alpha flip rows would need 2 * 10**12 bytes here
     ws = WriteSequence([(0, 0), (1, 1), (0, 1)])
     verdict = check_constraint(ws, ConstraintParams(10 ** 12, 2, 2))
     assert (verdict.write, verdict.cell, verdict.cost) == (1, 1, 3)
+
+
+def test_one_row_blocks_stay_linear_when_alpha_exceeds_the_file(monkeypatch):
+    # the sums of all 20,000 writes stay needed; copying them on every
+    # block would take minutes, growing them by doubling takes well under 1 s
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 16)
+    rng = np.random.default_rng(0)
+    ws = WriteSequence(rng.random((20_001, 16)) < 0.01, allow_nonzero_start=True)
+    start = time.perf_counter()
+    verdict, writes, _ = check_lines(ws.to_lines(), ConstraintParams(10 ** 9, 4, 10 ** 6))
+    assert verdict.satisfied and writes == 20_000
+    assert time.perf_counter() - start < 10
 
 
 def test_check_lines_reports_the_first_fault_in_file_order():
