@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import ceil, log2
 
-from .core import ConstraintParams
+from .core import ConstraintParams, check_positive
 from .wwl import WwlParams, _strip_graph, _walk_count, wwl_capacity
 
 # published numeric upper bounds for the two smallest genuinely
@@ -158,7 +158,7 @@ def count_2d_arrays(a: int, b: int, p: int, m: int, n: int) -> Array2DCount:
     build is capped at wwl.MAX_GRAPH_ENTRIES, and only the last row of
     walk counts is kept, so memory does not grow with m.
     """
-    ConstraintParams(a, b, p)
+    check_positive(a=a, b=b, p=p)
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     result_args = dict(a=a, b=b, p=p, m=m, n=n)

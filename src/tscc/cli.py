@@ -9,6 +9,7 @@ constraint-violation verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,7 +70,7 @@ def cmd_unrank(args):
 
 def cmd_verify(args):
     params = ConstraintParams(args.alpha, args.beta, args.p)
-    with open(args.file) as fh:
+    with open(args.file, "rb") as fh:
         verdict, writes, cells = check_lines(fh, params)
     _emit({"alpha": args.alpha, "beta": args.beta, "p": args.p,
            "writes": writes, "cells": cells, "verdict": _verdict_json(verdict)})
@@ -291,9 +292,12 @@ def build_parser():
     return ap
 
 
+# built on first use, once per process: parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ResourceLimitError, ConvergenceError, OSError) as exc:

@@ -14,6 +14,7 @@ abstract encoder/decoder interface every code construction implements.
 
 from __future__ import annotations
 
+import io
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -99,6 +100,13 @@ def all_one(n: int) -> Bits:
     return (1,) * n
 
 
+def check_positive(**values):
+    """ValueError naming the first of `values` that is not a positive int."""
+    for name, v in values.items():
+        if not isinstance(v, int) or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ConstraintParams:
     """The (alpha, beta, p) window budget.
@@ -114,10 +122,7 @@ class ConstraintParams:
     p: int
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "p"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        check_positive(alpha=self.alpha, beta=self.beta, p=self.p)
 
     @property
     def vacuous(self) -> bool:
@@ -164,8 +169,8 @@ class WriteSequence:
     def from_lines(cls, lines, *, allow_nonzero_start=True):
         """Build from one 01-string per line; the first line is the initial state.
 
-        Blank lines are skipped and surrounding whitespace stripped, as
-        check_lines() does.
+        `lines` are str lines or a binary file, parsed as check_lines()
+        parses them: blank lines skipped, surrounding whitespace stripped.
         """
         return cls(np.concatenate(list(_state_blocks(lines))),
                    allow_nonzero_start=allow_nonzero_start)
@@ -216,10 +221,12 @@ def check_constraint(ws: WriteSequence, params: ConstraintParams) -> ConstraintV
 def check_lines(lines, params: ConstraintParams):
     """check_constraint() on a write-sequence text, one state per line.
 
-    The lines are parsed and checked in row blocks, so memory is
-    O((block + alpha) * n) cells whatever the length of the text.
-    Window checks stop at the first violation, but every later line is
-    still read and validated.  Returns (verdict, writes, cells).
+    `lines` is an iterable of str lines or a binary file, read as a text
+    file opened with open() would be.  The lines are parsed and checked
+    in row blocks, so memory is O((block + alpha) * n) cells whatever
+    the length of the text.  Window checks stop at the first violation,
+    but every later line is still read and validated.  Returns (verdict,
+    writes, cells).
     """
     return _check_blocks(_state_blocks(lines), params)
 
@@ -232,14 +239,23 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_CELLS // n)
 
 
-def _state_blocks(lines):
+# io.TextIOWrapper's read size: text decoded from a multiple of it meets
+# the same decoding errors, at the same positions, as the whole file
+_TEXT_CHUNK = 8192
+
+
+def _state_blocks(lines, first=0, n=None):
     """Yield the states written in `lines` as uint8 arrays of whole rows.
 
     Blank lines are skipped and each line is stripped.  Every state must
     be a nonempty 01-string as wide as the first; the first fault in
-    file order raises ValueError.
+    file order raises ValueError.  A binary file goes to _byte_blocks();
+    a caller that has parsed states already gives their number and n.
     """
-    block, first, n = [], 0, None
+    if isinstance(lines, io.BufferedIOBase):
+        yield from _byte_blocks(lines)
+        return
+    block, rows = [], n and _block_rows(n)
     for line in lines:
         line = line.strip()
         if not line:
@@ -255,6 +271,52 @@ def _state_blocks(lines):
         raise ValueError("empty write-sequence input")
     if block:
         yield _parse_block(block, first, n)
+
+
+def _byte_blocks(fh):
+    """_state_blocks() on a binary file, read in blocks of rows that are
+    each n bytes of 0/1 and a newline, n set by the first line; from the
+    first block that is not so regular, the rest is decoded as text."""
+    data = fh.readline(_BLOCK_CELLS + 1)
+    n, first, seen, done = len(data) - 1, 0, 0, bytearray()
+    buf = memoryview(bytearray(_block_rows(n) * (n + 1) if n > 0 else 0))
+    while n > 0 and (cells := _regular_rows(data, n)) is not None:
+        yield cells
+        first, seen = first + len(cells), seen + len(data)
+        done += data[-_TEXT_CHUNK:]  # the bytes since the last chunk boundary
+        del done[:len(done) - seen % _TEXT_CHUNK]
+        data = buf[:fh.readinto(buf)]
+        if not data:
+            return
+    text = io.TextIOWrapper(_Rest(done + data, fh))
+    text.read(len(done))
+    yield from _state_blocks(text, first, n if first else None)
+
+
+def _regular_rows(data, n: int):
+    """data's rows as a uint8 array of cells if each row is n bytes of 0/1
+    and a newline, which the last row may lack; otherwise None."""
+    if len(data) % (n + 1) == n:
+        data = bytes(data) + b"\n"
+    if len(data) % (n + 1) == 0:
+        rows = np.frombuffer(data, np.uint8).reshape(-1, n + 1)
+        cells = rows[:, :n] ^ 48
+        if cells.max() <= 1 and (rows[:, n] == 10).all():
+            return cells
+
+
+class _Rest(io.RawIOBase):
+    """The bytes `head`, then the rest of the binary file fh, as a raw stream."""
+
+    def __init__(self, head, fh):
+        self.head, self.fh = io.BytesIO(head), fh
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        k = self.head.readinto(b)
+        return k + self.fh.readinto(memoryview(b)[k:])
 
 
 def _parse_block(block, first: int, n: int):

@@ -138,6 +138,16 @@ def test_count2d_serializes_count_as_string(capsys):
     assert isinstance(got["count"], str)
 
 
+@pytest.mark.parametrize("name", ["a", "b", "p"])
+def test_count2d_names_its_own_parameters(capsys, name):
+    values = {"a": 2, "b": 2, "p": 1, name: 0}
+    argv = [f"--{k}={v}" for k, v in values.items()]
+    code, out, err = run_cli(capsys, "count2d", *argv, "--m", "3", "--n", "3")
+    assert (code, out) == (2, "")
+    assert f"tscc: error: {name} must be a positive integer, got 0" in err
+    assert "alpha" not in err and "beta" not in err
+
+
 def test_bounds_schema(capsys):
     got = run_json(capsys, "bounds", "--alpha", "4", "--beta", "1", "--p", "1")
     assert got["lower_provenance"] == "time-construction"
@@ -420,6 +430,34 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "421"
+
+
+def _fresh_process(*argv):
+    """(exit code, stdout) of the same command in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "tscc.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_kept_between_calls_carries_no_state(capsys, tmp_path):
+    # an option given to one call must not reach the next call through the
+    # parser main() keeps, and an argparse error must not break it
+    out_file = tmp_path / "out.txt"
+    simulate = ("simulate", "--construction", "time", "--alpha", "3",
+                "--writes", "12", "--seed", "2")
+    table = ("table", "--grid", "alpha=2:3,beta=1,p=1")
+    for first, then in [(simulate + ("--trace", str(out_file)), simulate),
+                        (table + ("--out", str(out_file)), table)]:
+        assert run_cli(capsys, *first)[0] == 0 and out_file.exists()
+        out_file.unlink()
+        code, out, _ = run_cli(capsys, *then)
+        assert (code, out) == _fresh_process(*then) and not out_file.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--beta", "3", "--vector", "0110"])
+    assert exc.value.code == 2 and "--p" in capsys.readouterr().err
+    good = ("rank", "--beta", "3", "--p", "2", "--vector", "0110")
+    code, out, _ = run_cli(capsys, *good)
+    assert (code, out) == _fresh_process(*good) == (0, "7\n")
 
 
 # --- README examples ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import io
 import itertools
 import time
 from pathlib import Path
@@ -335,8 +336,112 @@ def test_check_lines_reports_the_first_fault_in_file_order():
 def test_from_lines_shares_the_parse_rules():
     ws = WriteSequence.from_lines([" 0000\n", "\n", "0110\r\n", "0100"])
     assert ws.states.tolist() == [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 0, 0]]
+    assert WriteSequence.from_lines(io.BytesIO(b" 0000\n\n0110\r\n0100")) == ws
+    assert WriteSequence.from_lines(io.BytesIO(b"0000\n0110\n0100\n")) == ws
     with pytest.raises(ValueError, match="state 1 has 3 cells"):
         WriteSequence.from_lines(["0000", "011"])
+
+
+def _rows(count, n, seed):
+    rng = np.random.default_rng(seed)
+    return [bytes(row) for row in (rng.random((count, n)) < 0.3).astype(np.uint8) + ord("0")]
+
+
+def _outcome(fn):
+    """fn()'s (verdict, writes, cells), or the type and text of its ValueError."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _both_paths(path, params):
+    """check_lines on the file read as bytes and on the file opened as text."""
+    with open(path, "rb") as fh:
+        got = _outcome(lambda: check_lines(fh, params))
+    with open(path) as fh:
+        return got, _outcome(lambda: check_lines(fh, params))
+
+
+_ROWS = _rows(13, 6, seed=7)  # state 0 is the first line; states 1-12 follow
+
+
+def _join(rows, ends=None):
+    """The rows each ended by "\n", or by ends[i] where given."""
+    return b"".join(row + (ends or {}).get(i, b"\n") for i, row in enumerate(rows))
+
+
+_IRREGULAR = {
+    "regular": _join(_ROWS),
+    "crlf-after-regular-rows": _join(_ROWS, {i: b"\r\n" for i in range(7, 13)}),
+    "blank-line-in-a-later-block": _join(_ROWS, {8: b"\n\n"}),
+    "space-padded-line-in-a-later-block": _join(_ROWS[:9] + [b" " + _ROWS[9] + b"\t "] + _ROWS[10:]),
+    "digit-2-in-the-last-block": _join(_ROWS[:12] + [b"01201" + _ROWS[12][5:]]),
+    "non-utf8-byte-in-the-last-block": _join(_ROWS[:12] + [b"0\xff" + _ROWS[12][2:]]),
+    # state 6 ends a block at 1, 2 and 3 rows a block, so the block holds
+    # only the first byte of the no-break space (U+00A0) after it, which
+    # str.strip() removes once the two bytes are decoded together
+    "utf8-character-across-a-block-boundary": _join(_ROWS, {6: "\u00a0\n".encode()}),
+    "no-final-newline": _join(_ROWS)[:-1],
+    "no-final-newline-after-crlf": _join(_ROWS, {i: b"\r\n" for i in range(13)})[:-2],
+    "ragged-row-in-a-later-block": _join(_ROWS[:10] + [_ROWS[10][:5]] + _ROWS[11:]),
+    # 13 cells: two rows' bytes, with a cell where the first row's newline goes
+    "line-two-rows-wide": _join(_ROWS[:5] + [_ROWS[5] + b"1" + _ROWS[6]] + _ROWS[7:]),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_IRREGULAR))
+def test_byte_blocks_match_the_line_path(tmp_path, monkeypatch, name, rows):
+    """A binary file gives what the same file opened as text gives, however it turns irregular."""
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_IRREGULAR[name])
+    monkeypatch.setattr(core, "_BLOCK_CELLS", rows * 6)
+    for params in (ConstraintParams(2, 3, 2), ConstraintParams(2, 3, 6)):
+        got, want = _both_paths(path, params)
+        assert got == want
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("bad", [b"\xff", b"2", b"\xc3("])
+def test_byte_blocks_match_decoding_errors_past_the_first_text_chunk(tmp_path, monkeypatch,
+                                                                      bad, rows):
+    # 30 kB of 100-cell states with a bad byte in state 150: decoding errors
+    # name a position within the text chunk, which both paths must agree on
+    lines = _rows(200, 100, seed=3)
+    lines[150] = lines[150][:40] + bad + lines[150][40 + len(bad):]
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_join(lines))
+    monkeypatch.setattr(core, "_BLOCK_CELLS", rows * 100)
+    got, want = _both_paths(path, ConstraintParams(2, 3, 2))
+    assert got == want
+    assert got[0] is (ValueError if bad == b"2" else UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("name", ["regular", "no-final-newline"])
+def test_regular_files_never_take_the_line_path(tmp_path, monkeypatch, name):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(_IRREGULAR[name])
+    want = _both_paths(path, ConstraintParams(2, 3, 2))[1]
+    monkeypatch.setattr(core, "_parse_block", None)  # only the line path parses str lines
+    for rows in (1, 2, 3, 100):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", rows * 6)
+        with open(path, "rb") as fh:
+            assert check_lines(fh, ConstraintParams(2, 3, 2)) == want
+
+
+def test_cr_only_file_is_read_in_blocks(tmp_path, monkeypatch):
+    # no "\n" anywhere: a first-line read without a limit would hold the file
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"\r".join(_rows(4000, 6, seed=5)) + b"\r")
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 3 * 6)
+    got, want = _both_paths(path, ConstraintParams(2, 3, 6))
+    assert got == want and got[1:] == (3999, 6)
+    with open(path, "rb") as fh:
+        blocks = core._state_blocks(fh)
+        assert next(blocks).shape == (3, 6)
+        assert fh.tell() < path.stat().st_size // 2
+        assert 1 + sum(1 for _ in blocks) > 1000
 
 
 # --- rates and simulation ----------------------------------------------------
