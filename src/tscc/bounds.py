@@ -180,6 +180,8 @@ def parse_grid(text: str):
         name = name.strip()
         if name not in ("alpha", "beta", "p"):
             raise ValueError(f"unknown grid parameter {name!r}")
+        if name in ranges:
+            raise ValueError(f"grid parameter {name!r} given twice")
         lo, sep, hi = span.partition(":")
         lo = int(lo)
         hi = int(hi) if sep else lo

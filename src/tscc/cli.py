@@ -104,17 +104,17 @@ def _build_code(args):
         return cx.TimeCode(args.alpha, _wom_from_args(args))
     if name == "timep":
         _need(args, "alpha", "p")
-        return cx.timep_code(args.alpha, args.p, _wom_from_args(args))
+        return cx.TimePCode(args.alpha, args.p, _wom_from_args(args))
     if name == "dilute-time":
         _need(args, "alpha", "beta", "p", "nprime")
         return cx.DilutedTimeCode(cx.SpaceCode(args.beta, args.p, args.nprime), args.alpha)
     if name == "dilute-space":
         _need(args, "alpha", "beta")
         wom = _wom_from_args(args)
-        if args.p is not None and args.p > 1:
-            inner = cx.timep_code(args.alpha, args.p, wom)
-        else:
+        if args.p in (None, 1):
             inner = cx.TimeCode(args.alpha, wom)
+        else:
+            inner = cx.TimePCode(args.alpha, args.p, wom)
         return cx.DilutedSpaceCode(inner, args.beta)
     if name == "coset":
         _need(args, "beta", "p", "n")

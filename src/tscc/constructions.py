@@ -11,7 +11,7 @@ window in time or space:
   the right half remembers the previous left half.
 * TimePCode: per-cell budget p; p alternating ascending/descending
   write-once phases packed into a period of alpha + t writes with a
-  single reset.
+  single reset, the window widened when alpha cannot hold the reset.
 * TimeCode: the p = 1 TimePCode (beta = 1): an ascending write-once
   phase reset to all-ones, then a descending one reset to all-zero;
   its period counts both halves, 2 * (t + alpha) writes.
@@ -358,95 +358,73 @@ class TimePCode(RewritingCode):
     """p flips per cell per alpha writes (beta = 1) via p write-once phases.
 
     A period holds p phases of t writes each, alternating ascending and
-    descending, one reset write, and silence up to alpha + t writes.
-    The reset needs a slot of its own, so alpha + t >= p * t + 1.  For
-    even p the phase pattern repeats every period and the reset clears
-    to zero.  For odd p a period ends in the same direction it started,
-    so the reset alternates: all-ones after an ascending-start period,
-    all-zero after a descending-start one, and the next period starts
-    in the opposite direction.
+    descending, one reset write, and silence up to schedule_alpha + t
+    writes, where schedule_alpha is alpha widened to (p - 1) * t + 1 when
+    the reset would otherwise get no slot of its own; the declared,
+    shorter windows then still hold at most p flips.  For even p the
+    phase pattern repeats every period and the reset clears to zero.
+    For odd p a period ends in the same direction it started, so the
+    reset alternates: all-ones after an ascending-start period, all-zero
+    after a descending-start one, and the next period starts in the
+    opposite direction.
 
     For p >= 2 a phase begins where the previous one stopped, which is
     not the all-zero epoch start a general write-once code assumes, so
     the code must work from any state (BitPerWriteWom); RsWom only fits
     p = 1, where every phase starts from a reset.
-
-    When alpha + t < p * t + 1 the period cannot hold the reset; build
-    through timep_code(), which falls back to the smallest schedule
-    window (p - 1) * t + 1 that can, keeping the declared constraint.
     """
 
-    def __init__(self, alpha: int, p: int, wom: WomCode, *, schedule_alpha=None):
+    def __init__(self, alpha: int, p: int, wom: WomCode):
         if alpha < 1 or p < 1:
             raise ValueError("alpha and p must be >= 1")
-        if schedule_alpha is None:
-            schedule_alpha = alpha
-        if schedule_alpha < alpha:
-            raise ValueError("schedule window cannot be tighter than the declared alpha")
         if p >= 2 and not isinstance(wom, BitPerWriteWom):
             raise ValueError(
                 f"with p >= 2 each phase starts where the last one stopped, which "
                 f"only BitPerWriteWom supports; got {type(wom).__name__}")
-        t = wom.writes
-        if schedule_alpha + t < p * t + 1:
-            raise ValueError(
-                f"alpha + t = {schedule_alpha + t} leaves no room for {p} phases and a "
-                f"reset (need >= {p * t + 1}); raise alpha or build via timep_code()")
         self.params = ConstraintParams(alpha, 1, p)
-        self.schedule_alpha = schedule_alpha
         self.p = p
         self.wom = wom
+        t = wom.writes
         self.t = t
         self.n_cells = wom.n_cells
-        self.period = schedule_alpha + t
+        self.schedule_alpha = max(alpha, (p - 1) * t + 1)
+        self.period = self.schedule_alpha + t
         # even p: every period ascends first and resets to zero
         self._alternating = bool(p % 2)
 
-    @property
-    def is_compacted(self) -> bool:
-        return self.schedule_alpha != self.params.alpha
-
     def _locate(self, write_index: int):
-        """Slot in its cycle of schedule_alpha + t writes; does that cycle ascend first?"""
+        """(slot, write-once write or None, ascending) in a schedule_alpha + t cycle.
+
+        On the reset slot ascending says whether the next phase ascends,
+        so the reset clears to zero exactly when it is set.
+        """
         self._check_write_index(write_index)
         cycle, slot = divmod(write_index - 1, self.schedule_alpha + self.t)
-        return slot + 1, not (self._alternating and cycle % 2)
+        phase, w = divmod(slot, self.t)
+        ascending = (phase % 2 == 0) != (self._alternating and cycle % 2 == 1)
+        return slot + 1, (w + 1 if phase < self.p else None), ascending
 
     def message_count(self, write_index: int) -> int:
-        slot, _ = self._locate(write_index)
-        if slot <= self.p * self.t:
-            return self.wom.message_count((slot - 1) % self.t + 1)
-        return 1
+        _, w, _ = self._locate(write_index)
+        return 1 if w is None else self.wom.message_count(w)
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
         current = self._check(write_index, current, message)
-        slot, up_start = self._locate(write_index)
-        t = self.t
-        if slot <= self.p * t:
-            phase = (slot - 1) // t + 1
-            w = (slot - 1) % t + 1
-            ascending = (phase % 2 == 1) == up_start
+        slot, w, ascending = self._locate(write_index)
+        if w is not None:
             if ascending:
                 return self.wom.encode_w(w, message, current)
             return complement(self.wom.encode_w(w, message, complement(current)))
-        if slot == self.p * t + 1:
-            if self._alternating and up_start:
-                return all_one(self.n_cells)
-            return all_zero(self.n_cells)
+        if slot == self.p * self.t + 1:
+            return all_zero(self.n_cells) if ascending else all_one(self.n_cells)
         return current
 
     def decode(self, write_index: int, current: Bits) -> int:
         current = self._check(write_index, current)
-        slot, up_start = self._locate(write_index)
-        t = self.t
-        if slot <= self.p * t:
-            phase = (slot - 1) // t + 1
-            w = (slot - 1) % t + 1
-            ascending = (phase % 2 == 1) == up_start
-            if ascending:
-                return self.wom.decode_w(w, current)
-            return self.wom.decode_w(w, complement(current))
-        return 1
+        _, w, ascending = self._locate(write_index)
+        if w is None:
+            return 1
+        return self.wom.decode_w(w, current if ascending else complement(current))
 
     @property
     def theoretical_rate(self) -> float:
@@ -471,18 +449,8 @@ class TimeCode(TimePCode):
     decode = TimePCode.decode
 
 
-def timep_code(alpha: int, p: int, wom: WomCode) -> TimePCode:
-    """Build a TimePCode, compacting the schedule when alpha is too small.
-
-    When alpha + t < p * t + 1 the phases are scheduled in the smallest
-    window that fits them, (p - 1) * t + 1 writes, giving a period of
-    p * t + 1; windows of the declared alpha are shorter than the
-    schedule window, so the declared constraint still holds.
-    """
-    t = wom.writes
-    if alpha + t >= p * t + 1:
-        return TimePCode(alpha, p, wom)
-    return TimePCode(alpha, p, wom, schedule_alpha=(p - 1) * t + 1)
+# name kept for callers outside the package, such as bench/workloads.py
+timep_code = TimePCode
 
 
 class DilutedTimeCode(RewritingCode):

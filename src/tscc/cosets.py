@@ -250,14 +250,12 @@ class CosetCode(RewritingCode):
         # smallest admissible pattern per syndrome; S-goodness makes this total
         syndromes = self._syndrome_int(s)
         reached, first = np.unique(syndromes, return_index=True)
-        if reached.size != 1 << (n - self.k):
-            good, missed = is_s_good(basis, s, n)
-            if good:
-                raise RuntimeError("coverage says S-good but some syndromes have no "
-                                   "admissible representative")
+        unreachable = (1 << (n - self.k)) - reached.size
+        if unreachable:
+            # each unreached syndrome is a whole uncovered coset of 2^k words
             raise ValueError(
-                f"code is not S-good: {missed} words uncovered, "
-                f"{(1 << (n - self.k)) - reached.size} syndromes unreachable")
+                f"code is not S-good: {unreachable << self.k} words uncovered, "
+                f"{unreachable} syndromes unreachable")
         self._rep = s[first].tolist()
 
     def _syndrome_int(self, x):

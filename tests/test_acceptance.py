@@ -17,7 +17,7 @@ from tscc.wwl import (CountTable, WwlParams, build_transition_matrix,
                       wwl_capacity)
 from tscc.constructions import (BitPerWriteWom, DilutedSpaceCode,
                                 DilutedTimeCode, RsWom, SpaceCode, TimeCode,
-                                TimePCode, TrivialCode, timep_code)
+                                TimePCode, TrivialCode)
 from tscc.bounds import count_2d_arrays, lower_bound, upper_bound
 from tscc.cosets import GoodCodeSearch, find_good_code
 
@@ -128,8 +128,8 @@ def construction_grid():
         TimeCode(2, BitPerWriteWom(3)),
         TimePCode(2, 2, BitPerWriteWom(1)),
         TimePCode(4, 3, BitPerWriteWom(1)),   # odd p: alternating resets
-        timep_code(3, 2, BitPerWriteWom(4)),  # compacted schedule window
-        timep_code(3, 1, BitPerWriteWom(2)),
+        TimePCode(3, 2, BitPerWriteWom(4)),   # widened schedule window
+        TimePCode(3, 1, BitPerWriteWom(2)),
         DilutedTimeCode(SpaceCode(3, 2, 4), 2),
         DilutedSpaceCode(TimeCode(4, RsWom()), 3),
         find_good_code(6, WwlParams(3, 2))[1],

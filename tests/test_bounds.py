@@ -8,6 +8,7 @@ import pytest
 
 from tscc import bounds as bounds_mod
 from tscc import wwl as wwl_mod
+from tscc.constructions import BitPerWriteWom, RsWom, TimeCode, TimePCode
 from tscc.core import ResourceLimitError
 from tscc.wwl import WwlParams, wwl_capacity
 from tscc.bounds import (bounds_report, count_2d_arrays, emit_tables,
@@ -108,6 +109,20 @@ def test_lower_epoch_endpoint_value():
     assert tag == "time-construction"
     assert value == pytest.approx(math.log2(5) / 4, abs=1e-12)
     assert t_opt == 4
+
+
+@pytest.mark.parametrize("alpha", range(2, 13))
+def test_lower_bound_covers_every_executable_schedule(alpha):
+    """No (alpha, 1, p) write-once schedule the codes run beats the bound."""
+    for p in range(1, alpha):
+        value, _, _ = lower_bound(alpha, 1, p)
+        for t in range(1, 3 * alpha + 4):
+            rate = TimePCode(alpha, p, BitPerWriteWom(t)).theoretical_rate
+            assert rate <= value + 1e-12, (alpha, p, t)
+            if p == 1:
+                assert TimeCode(alpha, BitPerWriteWom(t)).theoretical_rate <= value + 1e-12
+        if p == 1:
+            assert TimeCode(alpha, RsWom()).theoretical_rate <= value + 1e-12
 
 
 def test_lower_general_point_dilutes():
@@ -301,6 +316,8 @@ def test_parse_grid():
         parse_grid("alpha=8:4,beta=1,p=1")
     with pytest.raises(ValueError):
         parse_grid("gamma=1,alpha=1,beta=1,p=1")
+    with pytest.raises(ValueError, match="'alpha' given twice"):
+        parse_grid("alpha=1:2,beta=1,p=1,alpha=3")
 
 
 def test_emit_tables_golden_row():

@@ -125,6 +125,15 @@ def test_simulate_rejects_rs_wom_for_several_phases(capsys, construction):
     assert "BitPerWriteWom" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["0", "-4"])
+def test_simulate_dilute_space_rejects_a_nonpositive_p(capsys, p):
+    code, out, err = run_cli(capsys, "simulate", "--construction", "dilute-space",
+                             "--alpha", "4", "--beta", "3", f"--p={p}",
+                             "--wom", "bitper", "--t", "1", "--writes", "20")
+    assert code == 2 and out == ""
+    assert "alpha and p must be >= 1" in err
+
+
 def test_count_is_plain_decimal_for_big_n(capsys):
     code, out, _ = run_cli(capsys, "count", "--beta", "2", "--p", "1", "--n", "300")
     assert code == 0
@@ -164,6 +173,12 @@ def test_table_csv(capsys, tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "alpha,beta,p,t_opt,lower,upper,provenance"
     assert len(lines) == 4
+
+
+def test_table_rejects_a_repeated_grid_parameter(capsys):
+    code, out, err = run_cli(capsys, "table", "--grid", "alpha=1:2,beta=1,p=1,p=2")
+    assert code == 2 and out == ""
+    assert "'p' given twice" in err
 
 
 def test_verify_good_and_bad(capsys, tmp_path):

@@ -8,8 +8,7 @@ from tscc.core import (ConstraintParams, all_one, all_zero, check_constraint,
 from tscc.constructions import (BitPerWriteWom, DilutedSpaceCode,
                                 DilutedTimeCode, RsWom, SpaceCode,
                                 TabulatedWom, TimeCode, TimePCode, TrivialCode,
-                                parse_wom_table, timep_code,
-                                timep_theoretical_rate)
+                                parse_wom_table, timep_theoretical_rate)
 from tscc.cosets import find_good_code
 from tscc.wwl import WwlParams
 
@@ -282,21 +281,25 @@ def test_timep_odd_alternates_reset_level():
 
 
 def test_timep_rejects_overfull_schedule():
-    with pytest.raises(ValueError, match="timep_code"):
-        TimePCode(3, 2, BitPerWriteWom(4))
+    """alpha + t < p * t + 1 no longer refuses: the schedule window widens."""
+    code = TimePCode(3, 2, BitPerWriteWom(4))
+    assert code.schedule_alpha == 5
+    assert code.period == 9
+    assert code.params == ConstraintParams(3, 1, 2)
+    assert_valid_run(code, periods=4, seed=3)
 
 
 def test_timep_compaction_fallback():
-    code = timep_code(3, 2, BitPerWriteWom(4))
-    assert code.is_compacted
+    code = TimePCode(3, 2, BitPerWriteWom(4))
+    assert code.schedule_alpha == 5 != code.params.alpha
     assert code.params == ConstraintParams(3, 1, 2)
     assert code.period == 9
     assert_valid_run(code, periods=5, seed=2)
 
 
 def test_timep_uncompacted_when_alpha_fits():
-    code = timep_code(4, 3, BitPerWriteWom(1))
-    assert not code.is_compacted
+    code = TimePCode(4, 3, BitPerWriteWom(1))
+    assert code.schedule_alpha == code.params.alpha == 4
     assert code.period == 5
 
 
@@ -308,7 +311,7 @@ def test_timep_rate_golden():
 
 @pytest.mark.parametrize("alpha,p,t", [(2, 1, 2), (5, 2, 2), (7, 3, 2), (3, 1, 2)])
 def test_timep_grid(alpha, p, t):
-    assert_valid_run(timep_code(alpha, p, BitPerWriteWom(t)), periods=4)
+    assert_valid_run(TimePCode(alpha, p, BitPerWriteWom(t)), periods=4)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -317,11 +320,11 @@ def test_timep_rejects_zero_start_wom_when_built(p):
     with pytest.raises(ValueError, match="BitPerWriteWom"):
         TimePCode(8, p, RsWom())
     with pytest.raises(ValueError, match="BitPerWriteWom"):
-        timep_code(4, p, RsWom())
+        TimePCode(4, p, RsWom())
 
 
 def test_timep_single_phase_keeps_rs_wom():
-    assert_valid_run(timep_code(4, 1, RsWom()), periods=4)
+    assert_valid_run(TimePCode(4, 1, RsWom()), periods=4)
 
 
 # --- dilutions ---------------------------------------------------------------

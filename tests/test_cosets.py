@@ -61,13 +61,13 @@ def test_syndrome_surjectivity_equals_coverage():
     n = 6
     s_values = [psi(v) for v in enumerate_wwl(params, n)]
     for basis in ([0b100100], [0b000001], [0b100100, 0b010010], [0b111000]):
-        good, _ = is_s_good(basis, s_values, n)
+        good, missed = is_s_good(basis, s_values, n)
         if good:
             code = CosetCode(n, params, basis)
             syndromes = {code._syndrome_int(x) for x in range(2 ** n)}
             assert len(syndromes) == code.message_count(1)
         else:
-            with pytest.raises(ValueError, match="not S-good"):
+            with pytest.raises(ValueError, match=f"not S-good: {missed} words uncovered"):
                 CosetCode(n, params, basis)
 
 
