@@ -20,9 +20,10 @@ on the strip graph whose width-1 case is the WWL codec's transfer graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import ceil, log2
+from functools import cache, partial
+from math import ceil, inf, log2
 
+from .constructions import timep_theoretical_rate
 from .core import ConstraintParams, check_positive
 from .wwl import WwlParams, _strip_graph, _walk_count, wwl_capacity
 
@@ -41,8 +42,7 @@ def upper_bound(alpha: int, beta: int, p: int):
 
 def _upper_bound(alpha, beta, p, capacity):
     """upper_bound with capacity(WwlParams) -> CapacityBracket supplied."""
-    ConstraintParams(alpha, beta, p)
-    if p >= alpha * beta:
+    if ConstraintParams(alpha, beta, p).vacuous:
         return 1.0, "vacuous-1"
     if alpha == 1:
         return capacity(WwlParams(beta, p)).upper, "wwl-alpha1"
@@ -54,28 +54,27 @@ def _upper_bound(alpha, beta, p, capacity):
 
 
 def _best_time_rate(alpha: int, p: int):
-    """Best write-once schedule rate for a per-cell budget, with its t."""
-    if p == 1:
-        # log2(t+1)/(t+alpha) is unimodal in t; scan until it drops
-        best_v, best_t = 0.0, None
-        t = 1
-        while True:
-            v = log2(t + 1) / (t + alpha)
-            if v > best_v:
-                best_v, best_t = v, t
-            elif best_t is not None and t > best_t + 4:
-                return best_v, best_t
-            t += 1
-    best_v, best_t = 0.0, None
-    for t in range(1, alpha // (p - 1) + 1):
-        v = p * log2(t + 1) / (alpha + t)
-        if v > best_v:
-            best_v, best_t = v, t
-    tstar = ceil(alpha / (p - 1))
-    v = log2(tstar + 1) / tstar
-    if v > best_v:
-        best_v, best_t = v, tstar
-    return best_v, best_t
+    """Best write-once schedule rate for a per-cell budget, with its t.
+
+    timep_theoretical_rate is quasi-concave in t (a concave log2(t+1)
+    over a positive affine denominator), so climbing from t = 1 while
+    the next t scores strictly higher stops at its first maximum.  For
+    p >= 2 the reset needs a slot, so t <= alpha // (p - 1), and the
+    reset-free epoch value log2(t*+1)/t* at t* = ceil(alpha / (p - 1))
+    competes too.
+    """
+    rate = partial(timep_theoretical_rate, p, alpha=alpha)
+    t_max = alpha // (p - 1) if p > 1 else inf
+    t = 1
+    while t < t_max and rate(t + 1) > rate(t):
+        t += 1
+    best = rate(t), t
+    if p > 1:
+        tstar = ceil(alpha / (p - 1))
+        v = log2(tstar + 1) / tstar
+        if v > best[0]:
+            best = v, tstar
+    return best
 
 
 def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False):
@@ -89,8 +88,7 @@ def lower_bound(alpha: int, beta: int, p: int, *, use_coset: bool = False):
 
 def _lower_bound(alpha, beta, p, use_coset, capacity):
     """lower_bound with capacity(WwlParams) -> CapacityBracket supplied."""
-    ConstraintParams(alpha, beta, p)
-    if p >= alpha * beta:
+    if ConstraintParams(alpha, beta, p).vacuous:
         return 1.0, "trivial", None
     candidates = [(p / (alpha * beta), "trivial", None)]
     if alpha == 1:
@@ -197,13 +195,12 @@ def parse_grid(text: str):
 def emit_tables(grid, *, use_coset: bool = False) -> str:
     """CSV of bounds over a parameter grid, rows in grid order.
 
-    grid is a parse_grid() mapping or its textual form.  Columns:
+    grid is in the textual form parse_grid() reads.  Columns:
     alpha,beta,p,t_opt,lower,upper,provenance with provenance holding
     the lower and upper tags joined by '|'.  Each distinct (beta, p)
     capacity is computed once per call.
     """
-    if isinstance(grid, str):
-        grid = parse_grid(grid)
+    grid = parse_grid(grid)
     capacity = cache(wwl_capacity)  # lives for this call only
     rows = ["alpha,beta,p,t_opt,lower,upper,provenance"]
     for alpha in grid["alpha"]:

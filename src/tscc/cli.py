@@ -18,8 +18,8 @@ from . import constructions as cx
 from . import cosets as cosets_mod
 from . import wwl
 from .core import (ConstraintParams, ConvergenceError, ResourceLimitError,
-                   bits_from_int, check_constraint, check_lines, format_state,
-                   measure_rate, parse_state, simulate)
+                   bits_from_int, check_constraint, check_lines, check_positive,
+                   format_state, measure_rate, parse_state, simulate)
 
 VIOLATION_EXIT = 3
 
@@ -35,8 +35,6 @@ def _verdict_json(verdict):
 
 
 def cmd_capacity(args):
-    if args.kind != "wwl":
-        raise ValueError(f"unknown capacity kind {args.kind!r}")
     cap = wwl.wwl_capacity(wwl.WwlParams(args.beta, args.p), tol=args.tol)
     _emit({
         "beta": args.beta,
@@ -131,6 +129,7 @@ def _need(args, *names):
 
 
 def cmd_simulate(args):
+    check_positive(writes=args.writes)
     code = _build_code(args)
     writes = args.writes
     if writes % code.period:
@@ -285,8 +284,6 @@ def build_parser():
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--beta", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--sample", action="store_true",
-                   help="accepted for compatibility; the scan is always exhaustive")
     q.set_defaults(func=cmd_findgood)
 
     return ap

@@ -322,13 +322,13 @@ class _Rest(io.RawIOBase):
 def _parse_block(block, first: int, n: int):
     """The states block[i] (state number first + i) as a uint8 array."""
     # latin-1 keeps one byte per character; '?' stands in for the rest
-    cells = np.frombuffer("".join(block).encode("latin-1", "replace"), dtype=np.uint8) - 48
-    if cells.max() > 1 or set(map(len, block)) != {n}:
+    cells = _regular_rows("\n".join(block).encode("latin-1", "replace"), n)
+    if cells is None or len(cells) != len(block):
         for i, line in enumerate(block, start=first):
             parse_state(line)
             if len(line) != n:
                 raise ValueError(f"state {i} has {len(line)} cells, expected {n}")
-    return cells.reshape(len(block), n)
+    return cells
 
 
 def _check_blocks(blocks, params: ConstraintParams):

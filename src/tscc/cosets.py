@@ -240,8 +240,9 @@ class CosetCode(RewritingCode):
         self.period = 1
         s = np.sort(wwl_values(params, n) if s_values is None
                     else np.asarray(s_values, dtype=np.int64))
-        rref, pivots = _gf2_rref([int(z) for z in basis], n)
-        if len(rref) != len(list(basis)):
+        basis = [int(z) for z in basis]
+        rref, pivots = _gf2_rref(basis, n)
+        if len(rref) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
         self.k = len(rref)
         self._rref = rref

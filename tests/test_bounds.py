@@ -8,7 +8,8 @@ import pytest
 
 from tscc import bounds as bounds_mod
 from tscc import wwl as wwl_mod
-from tscc.constructions import BitPerWriteWom, RsWom, TimeCode, TimePCode
+from tscc.constructions import (BitPerWriteWom, RsWom, TimeCode, TimePCode,
+                                timep_theoretical_rate)
 from tscc.core import ResourceLimitError
 from tscc.wwl import WwlParams, wwl_capacity
 from tscc.bounds import (bounds_report, count_2d_arrays, emit_tables,
@@ -103,12 +104,33 @@ def test_lower_multiphase_budget():
 
 
 def test_lower_epoch_endpoint_value():
-    # alpha = (p-1) t: the reset-free epoch value log2(t+1)/t is met
-    # exactly by the in-window schedule at t = 4
+    # alpha = (p-1) t: the reset-free epoch value log2(t+1)/t equals the
+    # in-window formula p log2(t+1)/(alpha+t) at t = 4; no code runs at
+    # that rate, as TimePCode(4, 2, BitPerWriteWom(4)) widens its window
+    # to 5 and rates 0.516
     value, tag, t_opt = lower_bound(4, 1, 2)
     assert tag == "time-construction"
     assert value == pytest.approx(math.log2(5) / 4, abs=1e-12)
     assert t_opt == 4
+
+
+def test_lower_time_value_is_the_first_maximum_over_its_candidates():
+    """(value, t_opt) at (alpha, 1, p) is the first best of a brute-force scan."""
+    for alpha in range(2, 61):
+        for p in range(1, alpha):
+            if p == 1:
+                cands = [(timep_theoretical_rate(1, t, alpha), t) for t in range(1, 3 * alpha + 4)]
+            else:
+                tstar = math.ceil(alpha / (p - 1))
+                cands = [(timep_theoretical_rate(p, t, alpha), t)
+                         for t in range(1, alpha // (p - 1) + 1)]
+                cands.append((math.log2(tstar + 1) / tstar, tstar))
+            best = max(cands, key=lambda c: c[0])  # the first of equal values
+            got = lower_bound(alpha, 1, p)
+            if best[0] > p / alpha:
+                assert got == (best[0], "time-construction", best[1]), (alpha, p)
+            else:
+                assert got == (p / alpha, "trivial", None), (alpha, p)
 
 
 @pytest.mark.parametrize("alpha", range(2, 13))

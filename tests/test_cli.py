@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -314,6 +315,15 @@ def test_simulate_deterministic_and_trace_verifies(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "satisfied"
 
 
+@pytest.mark.parametrize("writes", ["0", "-3"])
+def test_simulate_rejects_nonpositive_writes_before_writing_a_trace(capsys, tmp_path, writes):
+    trace = tmp_path / "run.txt"
+    code, _, err = run_cli(capsys, "simulate", "--construction", "time", "--alpha", "4",
+                           "--writes", writes, "--trace", str(trace))
+    assert code == 2 and "writes" in err
+    assert not trace.exists()
+
+
 def test_simulate_rounds_up_to_whole_periods(capsys):
     got = run_json(capsys, "simulate", "--construction", "time", "--alpha", "4",
                    "--writes", "10", "--seed", "0")
@@ -394,12 +404,6 @@ def test_findgood_schema(capsys):
     assert got["rate"] == pytest.approx((8 - got["j"]) / 8)
 
 
-def test_findgood_sample_flag_accepted(capsys):
-    got = run_json(capsys, "findgood", "--n", "6", "--beta", "3", "--p", "2",
-                   "--sample")
-    assert got["mode"] == "exhaustive"
-
-
 def test_findgood_golden_grid(capsys):
     """Whole findgood output (basis, N_B, Q_B) for beta <= n <= 14, p <= beta <= 5."""
     digest = hashlib.sha256()
@@ -439,19 +443,21 @@ def test_json_output_is_key_sorted(capsys):
     assert keys == sorted(keys)
 
 
-def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "tscc.cli", "count",
-                           "--beta", "6", "--p", "3", "--n", "10"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "421"
-
-
 def _fresh_process(*argv):
-    """(exit code, stdout) of the same command in a new interpreter."""
+    """(exit code, stdout) of the same command in a new interpreter that
+    imports the tscc these tests import."""
+    src = str(Path(core.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "tscc.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout
+
+
+def test_console_entry_point():
+    code, out = _fresh_process("count", "--beta", "6", "--p", "3", "--n", "10")
+    assert code == 0
+    assert out.strip() == "421"
 
 
 def test_parser_kept_between_calls_carries_no_state(capsys, tmp_path):

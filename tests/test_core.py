@@ -331,6 +331,9 @@ def test_check_lines_reports_the_first_fault_in_file_order():
                 check_lines(lines[:2] + lines[3:], ConstraintParams(1, 1, 1))
             with pytest.raises(ValueError, match="empty write-sequence input"):
                 check_lines(["", "  "], ConstraintParams(1, 1, 1))
+            # a newline inside a given line is a fault, not a row boundary
+            with pytest.raises(ValueError, match="nonempty 01-string"):
+                check_lines(["0000", "0101\n0110"], ConstraintParams(1, 1, 1))
 
 
 def test_from_lines_shares_the_parse_rules():

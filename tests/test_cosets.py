@@ -154,6 +154,13 @@ def test_coset_code_validation():
         CosetCode(2, params, [])  # narrower than beta
 
 
+def test_coset_code_takes_its_basis_from_a_generator():
+    from_list = CosetCode(8, WwlParams(3, 2), [60, 4])
+    from_gen = CosetCode(8, WwlParams(3, 2), (z for z in [60, 4]))
+    assert from_gen.k == from_list.k == 2
+    assert from_gen._rep == from_list._rep
+
+
 def test_coset_code_exhaustive_roundtrip():
     """Every state, every message: decode inverts encode and flips stay in S."""
     params = WwlParams(3, 2)
