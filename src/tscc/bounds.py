@@ -20,12 +20,12 @@ on the strip graph whose width-1 case is the WWL codec's transfer graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import ceil, inf, log2
 
 from .constructions import timep_theoretical_rate
 from .core import ConstraintParams, check_positive
-from .wwl import WwlParams, _strip_graph, _walk_count, wwl_capacity
+from .wwl import WwlParams, _strip_graph, _walk_count, wwl_capacities, wwl_capacity
 
 # published numeric upper bounds for the two smallest genuinely
 # two-dimensional cases; served verbatim, never recomputed
@@ -197,11 +197,14 @@ def emit_tables(grid, *, use_coset: bool = False) -> str:
 
     grid is in the textual form parse_grid() reads.  Columns:
     alpha,beta,p,t_opt,lower,upper,provenance with provenance holding
-    the lower and upper tags joined by '|'.  Each distinct (beta, p)
-    capacity is computed once per call.
+    the lower and upper tags joined by '|'.  Every capacity the rows
+    request comes from one wwl_capacities call: (b, p) with p < b for
+    each beta b, and each alpha b when beta = 1 is in the grid.
     """
     grid = parse_grid(grid)
-    capacity = cache(wwl_capacity)  # lives for this call only
+    widths = set(grid["beta"]) | (set(grid["alpha"]) if 1 in grid["beta"] else set())
+    wanted = [WwlParams(b, p) for b in sorted(widths) for p in grid["p"] if p < b]
+    capacity = dict(zip(wanted, wwl_capacities(wanted))).__getitem__
     rows = ["alpha,beta,p,t_opt,lower,upper,provenance"]
     for alpha in grid["alpha"]:
         for beta in grid["beta"]:

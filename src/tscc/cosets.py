@@ -23,9 +23,10 @@ Overlaps there are the full ones divided by 2^k, and quotient order is
 the order of each class's smallest member (zeros in every pivot
 column), so the first minimum gives the same z.  Each step transforms
 2^(n-k) flags, under 2 * 2^n per transform over a search instead of
-steps * 2^n.  The transform runs in float64 as batched products with
-Hadamard blocks of order <= 64; it is exact because every intermediate
-is an integer of magnitude at most 2^n * |A| <= 2^48 < 2^53.
+steps * 2^n.  A transform is a few products with Hadamard blocks of
+order <= 16 between two reused buffers.  With 2^m <= 2^24 flags both are
+exact: the first runs in float32 on integers of magnitude <= |A| <= 2^24,
+the second in float64 on the squares, within 2^m * |A| <= 2^48 < 2^53.
 """
 
 from __future__ import annotations
@@ -40,64 +41,82 @@ from .core import Bits, ConstraintParams, RewritingCode, bits_from_int, psi
 from .wwl import WwlParams, wwl_values
 
 _MAX_N = 24
-_BLOCK_BITS = 6
+_BLOCK_BITS = 4
+
+
+def _check_width(n: int, params: WwlParams | None = None):
+    """Refuse n outside [1:_MAX_N], then (given params) n narrower than beta."""
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must be in [1:{_MAX_N}]")
+    if params is not None and n < params.beta:
+        raise ValueError(f"n={n} is narrower than beta={params.beta}")
 
 
 @cache
-def _hadamard() -> np.ndarray:
-    """Read-only Sylvester Hadamard matrix of order 64; its 2^s corner has order 2^s."""
+def _hadamard(dtype) -> np.ndarray:
+    """Read-only Sylvester Hadamard matrix of order 2^_BLOCK_BITS; its 2^s corner has order 2^s."""
     i = np.arange(1 << _BLOCK_BITS)
-    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
+    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1, 1).astype(dtype)
     h.flags.writeable = False
     return h
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2^m float64 array (self-inverse up to 2^m).
+def _walsh_hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^m array a, with b of the same
+    size and dtype as the other buffer; returns the one that holds it.
 
-    The m index bits are split into ceil(m / 6) near-equal blocks; each
-    pass multiplies by a Hadamard block along one, batched over the rest.
+    The m index bits are split into ceil(m / _BLOCK_BITS) near-equal
+    blocks.  Each pass is one product that transforms the lowest s bits
+    and writes them out as the highest, so the passes rotate the index
+    bits by m in all, back to their places.
     """
     m = a.size.bit_length() - 1
     passes = -(-m // _BLOCK_BITS)
-    done = 0
     for i in range(passes):
         s = m // passes + (i < m % passes)
-        h = _hadamard()[:1 << s, :1 << s]
-        rest = m - done - s
-        if rest:
-            a = np.matmul(h, a.reshape(-1, 1 << s, 1 << rest))
-        else:
-            a = a.reshape(-1, 1 << s) @ h
-        done += s
-    return a.reshape(-1)
+        h = _hadamard(a.dtype)[:1 << s, :1 << s]
+        np.matmul(h, a.reshape(-1, 1 << s).T, out=b.reshape(1 << s, -1))
+        a, b = b, a
+    return a
+
+
+def _overlap_scores(indicator: np.ndarray, spare: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """2^m * corr (see xor_autocorrelation) for 2^m flags, as exact float64.
+
+    The first transform runs in float32 in the halves of spare, the second
+    from work to spare (float64 buffers of >= 2^m); returns a view of one.
+    """
+    size = indicator.size
+    halves = spare.view(np.float32).reshape(2, -1)[:, :size]
+    halves[0] = indicator
+    f = _walsh_hadamard(halves[0], halves[1])
+    np.multiply(f, f, out=work[:size], dtype=np.float64)
+    return _walsh_hadamard(work[:size], spare[:size])
 
 
 def xor_autocorrelation(indicator: np.ndarray) -> np.ndarray:
     """corr[z] = |{x : x in A and x ^ z in A}| for a 0/1 indicator of A.
 
-    Exact for n <= 24: the float64 transforms only ever hold integers of
-    magnitude at most 2^n * |A| <= 2^48 < 2^53.
+    Exact for n <= 24, from the same exact overlap scores the greedy
+    search ranks its candidates by.
     """
-    f = _walsh_hadamard(indicator.astype(np.float64))
-    g = _walsh_hadamard(f * f)
-    return np.rint(g).astype(np.int64) >> (g.size.bit_length() - 1)
+    size = indicator.size
+    scores = _overlap_scores(indicator, np.empty(size), np.empty(size))
+    return scores.astype(np.int64) >> (size.bit_length() - 1)
 
 
 def _coverage(s_values, basis, n: int) -> np.ndarray:
     """Indicator of span(basis) + S, built by folding one translate per step."""
     cov = np.zeros(1 << n, dtype=bool)
     cov[np.asarray(s_values, dtype=np.int64)] = True
-    idx = np.arange(1 << n)
     for z in basis:
-        cov |= cov[idx ^ z]
+        cov |= cov[np.arange(1 << n) ^ z]
     return cov
 
 
 def is_s_good(basis, s_values, n: int):
     """Whether span(basis) + S covers everything, and how many words it misses."""
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"n must be in [1:{_MAX_N}]")
+    _check_width(n)
     cov = _coverage(s_values, basis, n)
     missed = (1 << n) - int(np.count_nonzero(cov))
     return missed == 0, missed
@@ -117,12 +136,12 @@ class GoodCodeSearch:
     """Greedy search state for an S-good linear code; single-owner mutable.
 
     _cov flags the cosets of span(basis) inside the coverage, indexed by
-    the bits of the free columns _free (0 = the first cell) in order.
+    the bits of the free columns _free (0 = the first cell) in order;
+    _buffers holds two float64 transform buffers of 2^n until it is good.
     """
 
     def __init__(self, n: int, params: WwlParams):
-        if not 1 <= n <= _MAX_N:
-            raise ValueError(f"n must be in [1:{_MAX_N}]")
+        _check_width(n)
         self.n = n
         self.params = params
         self._s = wwl_values(params, n)
@@ -130,6 +149,7 @@ class GoodCodeSearch:
         self.steps: list[GreedyStep] = []
         self._free = list(range(n))
         self._cov = _coverage(self._s, (), n)
+        self._buffers = None
 
     @cached_property
     def s_values(self) -> tuple:
@@ -163,20 +183,25 @@ class GoodCodeSearch:
             raise ValueError("code is already S-good; nothing to double")
         size = 1 << self.n
         free = len(self._free)
-        # corr[0] = |S_B| bounds every entry, so while S_B is not everything
+        if self._buffers is None:
+            self._buffers = np.empty((2, size))
+        # scores[0] = 2^free |S_B| bounds every entry, so while S_B is not everything
         # the first minimum is a class outside B, with the smallest representative
-        corr = xor_autocorrelation(self._cov)
-        zq = int(np.argmin(corr))
+        zq = int(np.argmin(_overlap_scores(self._cov, *self._buffers)))
         before = self.missed
-        self._cov |= self._cov[np.arange(1 << free) ^ zq]
-        # the new pivot is zq's leading bit; keep the classes with a 0 there
+        # the new pivot is zq's leading bit: keep the classes with a 0 there, each
+        # OR its translate by zq, which has a 1 there and zq's low bits below it
         lead = free - zq.bit_length()
-        self._cov = self._cov.reshape(1 << lead, 2, -1)[:, 0, :].ravel()
+        cov = self._cov.reshape(1 << lead, 2, -1)
+        low = np.arange(cov.shape[2]) ^ (zq - cov.shape[2])
+        self._cov = (cov[:, 0, :] | cov[:, 1, low]).ravel()
         z = sum(1 << (self.n - 1 - col) for i, col in enumerate(self._free)
                 if zq >> (free - 1 - i) & 1)
         del self._free[lead]
         self.basis.append(z)
         after = self.missed
+        if after == 0:
+            self._buffers = None
         if after >= before:
             raise RuntimeError(
                 f"greedy step failed to shrink the uncovered set ({before} -> {after}); "
@@ -230,10 +255,7 @@ class CosetCode(RewritingCode):
     """
 
     def __init__(self, n: int, params: WwlParams, basis, s_values=None):
-        if not 1 <= n <= _MAX_N:
-            raise ValueError(f"n must be in [1:{_MAX_N}]")
-        if n < params.beta:
-            raise ValueError(f"n={n} is narrower than beta={params.beta}")
+        _check_width(n, params)
         self.wwl = params
         self.params = ConstraintParams(1, params.beta, params.p)
         self.n_cells = n
@@ -290,10 +312,8 @@ class CosetCode(RewritingCode):
 
 
 def find_good_code(n: int, params: WwlParams):
-    """Run the greedy search and build the resulting syndrome code."""
-    search = GoodCodeSearch(n, params)
-    if n < params.beta:  # CosetCode refuses it; say so before the search runs
-        raise ValueError(f"n={n} is narrower than beta={params.beta}")
-    search.run()
+    """Check n as CosetCode does, run the greedy search and build the code."""
+    _check_width(n, params)
+    search = GoodCodeSearch(n, params).run()
     code = CosetCode(n, params, search.basis, search._s)
     return search, code

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, log2
 
 import numpy as np
@@ -30,6 +31,8 @@ from .core import (Bits, ConvergenceError, ResourceLimitError, bits_from_int,
 # transfer graph, M * M in the dense view, a strip graph's row-weight
 # table and each of its state-by-row scans.
 MAX_GRAPH_ENTRIES = 1 << 20
+# Entries of each per-chunk buffer of the batched power iteration.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -179,16 +182,9 @@ def _adjacency(matrix):
     m = len(matrix)
     if m == 0 or any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square and nonempty")
-    adj = []
-    for row in matrix:
-        entries = []
-        for j, v in enumerate(row):
-            if v < 0:
-                raise ValueError("matrix entries must be nonnegative")
-            if v:
-                entries.append((j, v))
-        adj.append(entries)
-    return adj
+    if any(v < 0 for row in matrix for v in row):
+        raise ValueError("matrix entries must be nonnegative")
+    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
 
 
 def is_irreducible(matrix) -> bool:
@@ -221,41 +217,118 @@ class EigenEstimate:
         return self.upper - self.lower
 
 
-def _power_bracket(adj, tol: float, max_iter: int) -> EigenEstimate:
-    """Power iteration over (column, weight) rows of an irreducible matrix.
+def _table(adj):
+    """Row k of (index, weight) holds entry k of every row of a matrix;
+    short rows are padded with weight-0 references to slot len(adj)."""
+    depth = max(1, max(map(len, adj)))
+    pad = [(len(adj), 0)] * depth
+    flat = chain.from_iterable(chain.from_iterable(row + pad[len(row):] for row in adj))
+    table = np.fromiter(flat, np.float64).reshape(len(adj), depth, 2)
+    return table[:, :, 0].T.astype(np.intp), np.ascontiguousarray(table[:, :, 1].T)
 
-    Rows are padded with weight-0 references to a zero slot after v, so
-    a step is one numpy gather per column position, added left to right:
-    the IEEE operations, in order, of summing each row in Python.
+
+def _power_brackets(adjs, tol: float, max_iter: int) -> list[EigenEstimate]:
+    """Power iteration over (column, weight) rows of irreducible matrices, in batches.
+
+    Each matrix gets exactly the floats it would get alone: a step is one
+    gather per column position, added left to right (the IEEE operations,
+    in order, of summing each row in Python), and its ratios, bracket and
+    max-scale are reduced over its own states.  A batch takes matrices
+    until it holds _CHUNK_ENTRIES / 16 states, so it runs chunks of
+    K <= 16 steps (K * states <= _CHUNK_ENTRIES), and a matrix leaves it
+    at the chunk where it converges.  Brent's cycle test compares each
+    iterate with one saved at doubling distances: an exact repeat means no
+    later bracket can narrow, so ConvergenceError comes at once, with the
+    bracket max_iter would end on.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"power iteration needs tol > 0 and max_iter >= 1, "
                          f"got tol={tol!r}, max_iter={max_iter!r}")
-    size = len(adj)
-    depth = max(1, max(map(len, adj)))
-    pad = [(size, 0)] * depth
-    table = np.array([row + pad[len(row):] for row in adj], dtype=np.float64)
-    index = np.ascontiguousarray(table[:, :, 0].T, dtype=np.intp)
-    weight = np.ascontiguousarray(table[:, :, 1].T)
-    v = np.ones(size + 1)
-    v[size] = 0.0
-    best_lo, best_hi = 0.0, float("inf")
-    for it in range(1, max_iter + 1):
-        w = weight[0] * v[index[0]]
-        for k in range(1, depth):
-            w += weight[k] * v[index[k]]
-        ratios = w / v[:size]
-        best_lo = max(best_lo, float(ratios.min()))
-        best_hi = min(best_hi, float(ratios.max()))
-        if best_hi - best_lo <= tol:
-            return EigenEstimate(best_lo, best_hi, it)
-        scale = w.max()
-        if scale <= 0:
-            raise ValueError("matrix has a zero row reachable from all states")
-        v[:size] = w / scale
-    raise ConvergenceError(
-        f"eigenvalue bracket still {best_hi - best_lo:g} wide after {max_iter} iterations",
-        estimate=EigenEstimate(best_lo, best_hi, max_iter))
+    results, tables = [], []
+    for table in map(_table, adjs):  # no row list outlives its table
+        tables.append(table)
+        if sum(index.shape[1] for index, _ in tables) >= _CHUNK_ENTRIES >> 4:
+            results += _batch_brackets(tables, tol, max_iter)
+            tables = []
+    return results + _batch_brackets(tables, tol, max_iter)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # steps after a stop are discarded
+def _steps(rows, terms, starts, owner):
+    """Power steps from row to row of (v with its zero slot, next v,
+    ratios, max-scale per matrix): one gather per column position.  Its
+    own function, so no loop variable keeps a dropped batch alive."""
+    (w0, i0), *rest = terms
+    for vk, new, ratio, scale in rows:
+        w = w0 * vk[i0]
+        for wd, idx in rest:
+            w += wd * vk[idx]
+        np.divide(w, vk[:-1], out=ratio)
+        np.maximum.reduceat(w, starts, out=scale)
+        np.divide(w, scale[owner], out=new)
+
+
+def _batch_brackets(tables, tol, max_iter):
+    """_power_brackets on one batch of tables, laid end to end with the
+    padding pointing at slot -1, a zero after the states."""
+    sizes = [index.shape[1] for index, _ in tables]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.full((max((len(i) for i, _ in tables), default=1), owner.size), -1, dtype=np.intp)
+    weight = np.zeros(index.shape)
+    for (idx, wt), start, size in zip(tables, np.cumsum([0] + sizes), sizes):
+        index[:len(idx), start:start + size] = np.where(idx == size, -1, idx + start)
+        weight[:len(wt), start:start + size] = wt
+    results, live = [None] * len(sizes), list(range(len(sizes)))
+    v = saved = np.ones(owner.size)
+    lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
+    done = saved_at = 0
+    stopped = np.ones(1, dtype=bool)
+    while live:
+        if stopped.any():  # buffers for the batch as it now stands
+            total = owner.size
+            starts = np.searchsorted(owner, np.arange(len(live)))
+            vs = np.zeros((min(16, max(1, _CHUNK_ENTRIES // total)) + 1, total + 1))
+            vs[0, :total] = v
+            ratios = np.empty((len(vs) - 1, total))
+            scales = np.empty((len(vs) - 1, len(live)))
+            terms = list(zip(weight, index))
+            rows = list(zip(vs, vs[1:, :total], ratios, scales))
+        chunk = min(len(ratios), max_iter - done)
+        _steps(rows[:chunk], terms, starts, owner)
+        lows = np.fmax(np.fmax.accumulate(np.minimum.reduceat(ratios[:chunk], starts, axis=1)), lo)
+        highs = np.fmin(np.fmin.accumulate(np.maximum.reduceat(ratios[:chunk], starts, axis=1)), hi)
+        repeats = np.logical_and.reduceat(vs[1:chunk + 1, :total] == saved, starts, axis=1)
+        zero = scales[:chunk] <= 0
+        stopped = (highs[-1] - lows[-1] <= tol) | zero.any(axis=0) | repeats.any(axis=0)
+        done += chunk
+        for j in np.flatnonzero(stopped | (done == max_iter)):
+            # the bracket only narrows, so it first met tol at step c of the chunk
+            c = chunk - int(np.count_nonzero(highs[:, j] - lows[:, j] <= tol))
+            if zero[:c, j].any():
+                raise ValueError("matrix has a zero row reachable from all states")
+            if c == chunk:
+                cause = ("for good: the iterates repeat" if repeats[:, j].any()
+                         else f"after {max_iter} iterations")
+                raise ConvergenceError(
+                    f"eigenvalue bracket still {highs[-1, j] - lows[-1, j]:g} wide {cause}",
+                    estimate=EigenEstimate(float(lows[-1, j]), float(highs[-1, j]), max_iter))
+            results[live[j]] = EigenEstimate(float(lows[c, j]), float(highs[c, j]),
+                                             done - chunk + c + 1)
+        lo, hi, v = lows[-1], highs[-1], vs[chunk, :total]
+        if stopped.any():  # the stopped matrices leave, and the states are renumbered
+            keep = ~stopped
+            states = keep[owner]
+            lo, hi, v, saved = lo[keep], hi[keep], v[states], saved[states]
+            del vs, ratios, rows, terms  # free the old buffers first
+            renumber = np.append(np.cumsum(states) - 1, -1)
+            index, weight = renumber[index[:, states]], weight[:, states]
+            owner = (np.cumsum(keep) - 1)[owner[states]]
+            live = [g for g, kept in zip(live, keep) if kept]
+        else:
+            vs[0] = vs[chunk]
+        if done >= 2 * saved_at:
+            saved, saved_at = v.copy(), done
+    return results
 
 
 def dominant_eigenvalue(matrix, tol: float = 1e-9, max_iter: int = 10 ** 6) -> EigenEstimate:
@@ -269,7 +342,7 @@ def dominant_eigenvalue(matrix, tol: float = 1e-9, max_iter: int = 10 ** 6) -> E
     """
     if not is_irreducible(matrix):
         raise ValueError("dominant_eigenvalue requires an irreducible matrix")
-    return _power_bracket(_adjacency(matrix), tol, max_iter)
+    return _power_brackets([_adjacency(matrix)], tol, max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -289,15 +362,20 @@ class CapacityBracket:
         return log2(self.eigen.upper)
 
 
-def wwl_capacity(params: WwlParams, tol: float = 1e-9) -> CapacityBracket:
-    """Capacity bracket log2(lambda), by power iteration on the successor lists.
+def wwl_capacities(params_list, tol: float = 1e-9) -> list[CapacityBracket]:
+    """Capacity brackets log2(lambda), by batched power iteration on the
+    successor lists.  Each graph is irreducible: zeros lead any state
+    to 0, and a state's own bits lead 0 to it."""
+    params_list = list(params_list)
+    eigens = _power_brackets(([[(j, 1) for j in nxt] for nxt in _transfer_graph(params)[1]]
+                              for params in params_list), tol, 10 ** 6)
+    return [CapacityBracket(params, state_count(params), eigen)
+            for params, eigen in zip(params_list, eigens)]
 
-    The graph is irreducible: zeros lead any state to 0, and a state's
-    own bits lead 0 to it.
-    """
-    states, successors = _transfer_graph(params)
-    eigen = _power_bracket([[(j, 1) for j in nxt] for nxt in successors], tol, 10 ** 6)
-    return CapacityBracket(params=params, states=len(states), eigen=eigen)
+
+def wwl_capacity(params: WwlParams, tol: float = 1e-9) -> CapacityBracket:
+    """Capacity bracket of one window limit, a batch of one."""
+    return wwl_capacities([params], tol)[0]
 
 
 class CountTable:

@@ -11,7 +11,7 @@ from tscc import wwl as wwl_mod
 from tscc.constructions import (BitPerWriteWom, RsWom, TimeCode, TimePCode,
                                 timep_theoretical_rate)
 from tscc.core import ResourceLimitError
-from tscc.wwl import WwlParams, wwl_capacity
+from tscc.wwl import WwlParams, wwl_capacities, wwl_capacity
 from tscc.bounds import (bounds_report, count_2d_arrays, emit_tables,
                          lower_bound, parse_grid, upper_bound)
 
@@ -361,15 +361,15 @@ def test_emit_tables_golden_grid():
 
 
 def test_emit_tables_computes_each_capacity_once(monkeypatch):
-    calls = []
+    batches = []
 
-    def counting(params, *args, **kwargs):
-        calls.append(params)
-        return wwl_capacity(params, *args, **kwargs)
+    def counting(params_list, *args, **kwargs):
+        batches.append(list(params_list))
+        return wwl_capacities(batches[-1], *args, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "wwl_capacity", counting)
+    monkeypatch.setattr(bounds_mod, "wwl_capacities", counting)
     emit_tables("alpha=1:6,beta=1:8,p=1:3")
-    assert len(calls) == len(set(calls)) == 18
-    calls.clear()
+    assert [len(b) for b in batches] == [len(set(batches[0]))] == [18]
+    batches.clear()
     emit_tables("alpha=1:6,beta=1:12,p=1:4")
-    assert len(calls) == len(set(calls)) == 38
+    assert [len(b) for b in batches] == [len(set(batches[0]))] == [38]

@@ -109,6 +109,16 @@ def test_capacity_rejects_a_degenerate_tolerance_at_once(capsys, tol):
     assert "tol > 0" in err and "Traceback" not in err
 
 
+def test_capacity_stops_when_the_iterates_repeat(capsys):
+    """At tol 1e-300 the float iterates cycle; exit 2 without running to max_iter."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "capacity", "wwl", "--beta", "3", "--p", "1",
+                             "--tol", "1e-300")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "iterates repeat" in err and "Traceback" not in err
+
+
 def test_capacity_over_graph_limit_exits_2(capsys):
     code, out, err = run_cli(capsys, "capacity", "wwl", "--beta", "40", "--p", "20")
     assert code == 2 and out == ""
@@ -428,10 +438,10 @@ def test_findgood_rejects_n_outside_cap(capsys, n):
 def test_findgood_rejects_n_below_beta_before_searching(capsys, monkeypatch):
     from tscc import cosets
 
-    def no_search(indicator):
+    def no_search(indicator, spare, work):
         raise AssertionError("the greedy search ran")
 
-    monkeypatch.setattr(cosets, "xor_autocorrelation", no_search)
+    monkeypatch.setattr(cosets, "_overlap_scores", no_search)
     code, out, err = run_cli(capsys, "findgood", "--n", "22", "--beta", "30", "--p", "3")
     assert code == 2 and out == ""
     assert "n=22 is narrower than beta=30" in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -209,3 +210,17 @@ def test_found_rate_meets_averaging_bound():
     for n in (6, 9, 12):
         search, code = find_good_code(n, WwlParams(3, 2))
         assert code.theoretical_rate >= (n - search.step_bound) / n - 1e-12
+
+
+def test_find_good_code_refuses_before_allocating():
+    """The n range, then n < beta, are checked before S or the coverage exist."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n=24 is narrower than beta=30"):
+            find_good_code(24, WwlParams(30, 3))
+        with pytest.raises(ValueError, match=r"n must be in \[1:24\]"):
+            find_good_code(25, WwlParams(30, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

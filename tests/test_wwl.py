@@ -3,13 +3,14 @@ import math
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 import tscc.wwl as wwl_mod
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tscc.core import ConvergenceError, ResourceLimitError, all_zero, bits_from_int, psi
-from tscc.wwl import (CountTable, WwlParams, build_state_set,
+from tscc.wwl import (CountTable, EigenEstimate, WwlParams, build_state_set,
                       build_transition_matrix, count_wwl, dominant_eigenvalue,
                       enumerate_wwl, is_irreducible, is_wwl, rank,
                       state_count, unrank, wwl_capacity, wwl_values)
@@ -115,6 +116,69 @@ def test_eigenvalue_never_exceeds_two():
         est = dominant_eigenvalue(build_transition_matrix(WwlParams(beta, p)),
                                   tol=1e-6)
         assert 1.0 <= est.lower and est.upper <= 2.0 + 1e-12
+
+
+def _reference_bracket(adj, tol, max_iter):
+    """Power iteration on one matrix alone, as it ran before batching, with
+    no early stop: the bracket it converges to, or the one at max_iter."""
+    size = len(adj)
+    depth = max(1, max(map(len, adj)))
+    pad = [(size, 0)] * depth
+    table = np.array([row + pad[len(row):] for row in adj], dtype=np.float64)
+    index = table[:, :, 0].T.astype(np.intp)
+    weight = table[:, :, 1].T
+    v = np.ones(size + 1)
+    v[size] = 0.0
+    lo, hi = 0.0, math.inf
+    for it in range(1, max_iter + 1):
+        w = weight[0] * v[index[0]]
+        for k in range(1, depth):
+            w += weight[k] * v[index[k]]
+        ratios = w / v[:size]
+        lo = max(lo, float(ratios.min()))
+        hi = min(hi, float(ratios.max()))
+        if hi - lo <= tol:
+            return EigenEstimate(lo, hi, it)
+        v[:size] = w / w.max()
+    return EigenEstimate(lo, hi, max_iter)
+
+
+def _wwl_adjacency(beta, p):
+    """The rows wwl_capacity iterates on."""
+    return [[(j, 1) for j in nxt] for nxt in wwl_mod._transfer_graph(WwlParams(beta, p))[1]]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_batch_equals_single_graphs_on_every_wwl_graph(tol):
+    adjs = [_wwl_adjacency(b, p) for b in range(1, 13) for p in range(1, b + 1)]
+    batch = wwl_mod._power_brackets(adjs, tol, 10 ** 6)
+    single = [wwl_mod._power_brackets([adj], tol, 10 ** 6)[0] for adj in adjs]
+    assert batch == single == [_reference_bracket(adj, tol, 10 ** 6) for adj in adjs]
+
+
+def test_batch_equals_single_graphs_on_random_weighted_matrices():
+    rng = np.random.default_rng(7)
+    matrices = []
+    for _ in range(40):
+        m = int(rng.integers(1, 8))
+        a = rng.random((m, m)) * (rng.random((m, m)) < 0.4)
+        for i in range(m):  # a cycle through every state, and a self-loop: primitive
+            a[i, (i + 1) % m] += 0.5 + rng.random()
+        a[0, 0] += 1.0
+        matrices.append(a.tolist())
+    adjs = [wwl_mod._adjacency(a) for a in matrices]
+    want = [_reference_bracket(adj, 1e-9, 10 ** 4) for adj in adjs]
+    assert all(est.iterations < 10 ** 4 for est in want)
+    assert wwl_mod._power_brackets(adjs, 1e-9, 10 ** 4) == want
+    assert [dominant_eigenvalue(a, max_iter=10 ** 4) for a in matrices] == want
+
+
+def test_repeating_iterates_raise_at_once_with_the_final_bracket():
+    """At tol 1e-300 the (3, 1) iterates fall into a cycle and never narrow."""
+    adj = _wwl_adjacency(3, 1)
+    with pytest.raises(ConvergenceError, match="iterates repeat") as err:
+        wwl_mod._power_brackets([adj], 1e-300, 5000)
+    assert err.value.estimate == _reference_bracket(adj, 1e-300, 5000)
 
 
 # --- counting ----------------------------------------------------------------
