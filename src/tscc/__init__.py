@@ -22,7 +22,7 @@ from .core import (ConstraintParams, ConstraintVerdict, ConvergenceError,
 from .cosets import (CosetCode, GoodCodeSearch, GreedyStep, find_good_code,
                      is_s_good, xor_autocorrelation)
 from .wwl import (CapacityBracket, CountTable, EigenEstimate, WwlParams,
-                  build_state_set, build_transition_matrix, count_wwl,
+                  build_transition_matrix, count_wwl,
                   dominant_eigenvalue, enumerate_wwl, is_irreducible, is_wwl,
                   rank, unrank, wwl_capacity)
 
@@ -33,13 +33,13 @@ __all__ = [
     "GoodCodeSearch", "GreedyStep", "RateReport", "ResourceLimitError",
     "RewritingCode", "RsWom", "SimulationResult", "SpaceCode", "TabulatedWom",
     "TimeCode", "TimePCode", "TrivialCode", "WomCode", "WriteSequence",
-    "WwlParams", "bounds_report", "build_state_set", "build_transition_matrix",
+    "WwlParams", "bounds_report", "build_transition_matrix",
     "check_constraint", "check_lines", "count_2d_arrays", "count_wwl",
     "dominant_eigenvalue", "emit_tables", "enumerate_wwl", "find_good_code",
     "flip_matrix", "format_state", "is_irreducible", "is_s_good", "is_wwl",
-    "lower_bound", "measure_rate", "parse_state", "rank", "simulate",
-    "timep_code", "unrank", "upper_bound", "wwl_capacity",
-    "xor_autocorrelation",
+    "lower_bound", "measure_rate", "parse_state", "parse_wom_table", "rank",
+    "simulate", "timep_code", "timep_theoretical_rate", "unrank", "upper_bound",
+    "wwl_capacity", "xor_autocorrelation",
 ]
 
 __version__ = "0.1.0"

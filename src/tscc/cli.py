@@ -9,6 +9,7 @@ constraint-violation verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -159,13 +160,8 @@ def cmd_simulate(args):
 
 
 def cmd_bounds(args):
-    r = bounds_mod.bounds_report(args.alpha, args.beta, args.p, use_coset=args.coset)
-    _emit({
-        "alpha": r.alpha, "beta": r.beta, "p": r.p,
-        "lower": r.lower, "lower_provenance": r.lower_provenance,
-        "upper": r.upper, "upper_provenance": r.upper_provenance,
-        "t_opt": r.t_opt,
-    })
+    _emit(dataclasses.asdict(
+        bounds_mod.bounds_report(args.alpha, args.beta, args.p, use_coset=args.coset)))
     return 0
 
 

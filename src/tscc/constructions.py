@@ -22,9 +22,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from math import ceil, log2
 
-from .core import (Bits, ConstraintParams, RewritingCode, all_one, all_zero,
-                   bits_from_int, check_state, complement, format_state,
-                   hamming_weight, parse_state, psi, xor)
+from .core import (Bits, ConstraintParams, RewritingCode, all_zero, bits_from_int,
+                   check_state, complement, format_state, parse_state, psi, xor)
 from .wwl import CountTable, WwlParams, count_wwl, rank, unrank
 
 
@@ -110,8 +109,8 @@ class SpaceCode(RewritingCode):
         self.nprime = nprime
         self.n_cells = 2 * nprime + beta - 1
         self.period = 1
-        self._messages = count_wwl(self.wwl, nprime)
         self._table = CountTable(self.wwl, nprime)
+        self._messages = count_wwl(self.wwl, nprime)
 
     def message_count(self, write_index: int) -> int:
         self._check_write_index(write_index)
@@ -200,7 +199,7 @@ class RsWom(WomCode):
 
     def decode_w(self, write_index: int, state: Bits) -> int:
         state = self._check(write_index, state)
-        if hamming_weight(state) < 2:
+        if sum(state) < 2:
             probe = state
         else:
             probe = complement(state)
@@ -416,7 +415,7 @@ class TimePCode(RewritingCode):
                 return self.wom.encode_w(w, message, current)
             return complement(self.wom.encode_w(w, message, complement(current)))
         if slot == self.p * self.t + 1:
-            return all_zero(self.n_cells) if ascending else all_one(self.n_cells)
+            return all_zero(self.n_cells) if ascending else (1,) * self.n_cells
         return current
 
     def decode(self, write_index: int, current: Bits) -> int:

@@ -78,10 +78,6 @@ def bits_from_int(value: int, width: int) -> Bits:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def hamming_weight(bits: Bits) -> int:
-    return sum(bits)
-
-
 def xor(u: Bits, v: Bits) -> Bits:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
@@ -94,10 +90,6 @@ def complement(u: Bits) -> Bits:
 
 def all_zero(n: int) -> Bits:
     return (0,) * n
-
-
-def all_one(n: int) -> Bits:
-    return (1,) * n
 
 
 def check_positive(**values):
@@ -158,9 +150,6 @@ class WriteSequence:
     @property
     def writes(self) -> int:
         return len(self.states) - 1
-
-    def __len__(self):
-        return len(self.states)
 
     def __eq__(self, other):
         return isinstance(other, WriteSequence) and np.array_equal(self.states, other.states)
@@ -499,28 +488,19 @@ class SimulationResult:
         return self.messages == self.decoded
 
 
-def random_messages(code: RewritingCode, writes: int, rng: Random):
-    """Uniform messages for each write, honoring per-write alphabets."""
-    return tuple(rng.randrange(code.message_count(i)) + 1 for i in range(1, writes + 1))
+def simulate(code: RewritingCode, writes: int, seed: int) -> SimulationResult:
+    """Deterministic random-message simulation from the all-zero state.
 
-
-def run_trace(code: RewritingCode, messages) -> SimulationResult:
-    """Apply a message stream from the all-zero state, decoding each write."""
-    state = all_zero(code.n_cells)
-    states = [state]
+    Messages, uniform over each write's alphabet, come from
+    random.Random(seed), the stdlib Mersenne Twister, whose randrange
+    output is stable across platforms, so a (code, writes, seed) triple
+    always reproduces the same trace.
+    """
+    rng = Random(seed)
+    messages = tuple(rng.randrange(code.message_count(i)) + 1 for i in range(1, writes + 1))
+    states = [all_zero(code.n_cells)]
     decoded = []
     for i, m in enumerate(messages, start=1):
-        state = code.encode(i, m, state)
-        states.append(state)
-        decoded.append(code.decode(i, state))
-    return SimulationResult(WriteSequence(states), tuple(messages), tuple(decoded))
-
-
-def simulate(code: RewritingCode, writes: int, seed: int) -> SimulationResult:
-    """Deterministic random-message simulation.
-
-    Messages come from random.Random(seed), the stdlib Mersenne
-    Twister, whose randrange output is stable across platforms, so a
-    (code, writes, seed) triple always reproduces the same trace.
-    """
-    return run_trace(code, random_messages(code, writes, Random(seed)))
+        states.append(code.encode(i, m, states[-1]))
+        decoded.append(code.decode(i, states[-1]))
+    return SimulationResult(WriteSequence(states), messages, tuple(decoded))

@@ -223,26 +223,22 @@ class GoodCodeSearch:
 
 
 def _gf2_rref(rows, n: int):
-    """Reduced row-echelon basis and pivot columns of integer row vectors."""
-    basis = []
-    pivots = []
+    """Reduced row-echelon basis and pivot columns of integer row vectors:
+    each row is cleared at every pivot, and its leading bit, if any is
+    left, becomes a pivot that is cleared from the other rows."""
+    basis = {}  # pivot column -> the row with a 1 there and 0 at every other pivot
     for row in rows:
-        for piv, b in zip(pivots, basis):
+        for piv, b in basis.items():
             if row >> (n - 1 - piv) & 1:
                 row ^= b
-        if row == 0:
-            continue
-        piv = n - 1 - row.bit_length() + 1  # leftmost set bit as a column index
-        basis.append(row)
-        pivots.append(piv)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        basis = [basis[i] for i in order]
-        pivots = [pivots[i] for i in order]
-        for i, b in enumerate(basis):
-            for j, other in enumerate(basis):
-                if i != j and other >> (n - 1 - pivots[i]) & 1:
-                    basis[j] = other ^ b
-    return basis, pivots
+        if row:
+            lead = 1 << (row.bit_length() - 1)
+            for piv, b in basis.items():
+                if b & lead:
+                    basis[piv] = b ^ row
+            basis[n - row.bit_length()] = row
+    pivots = sorted(basis)
+    return [basis[piv] for piv in pivots], pivots
 
 
 class CosetCode(RewritingCode):

@@ -11,8 +11,8 @@ significant bit), each with the successor list of states it slides into
 by one bit.  Counts iterate the successor lists, the capacity is log2
 of the graph's dominant eigenvalue, and rank/unrank convert between a
 vector and its 1-based position in value order using O(n) count-table
-lookups.  The tuple state set and the dense matrix are views of it, and
-it is the width-1 case of the strip graph that counts 2D arrays.
+lookups.  The dense matrix is a view of it, and it is the width-1 case
+of the strip graph that counts 2D arrays.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ from math import comb, log2
 
 import numpy as np
 
-from .core import (Bits, ConvergenceError, ResourceLimitError, bits_from_int,
+from .core import (Bits, ConvergenceError, ResourceLimitError, check_positive,
                    check_state)
 
 # Entries one graph build may hold: two successor slots per state in the
 # transfer graph, M * M in the dense view, a strip graph's row-weight
 # table and each of its state-by-row scans.
 MAX_GRAPH_ENTRIES = 1 << 20
+# Bits a CountTable may hold, bounded as n rows of M counts of up to n
+# bits each: 2^30 bits is 128 MB of raw count bits.
+MAX_TABLE_BITS = 1 << 30
 # Entries of each per-chunk buffer of the batched power iteration.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -43,8 +46,7 @@ class WwlParams:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise ValueError(f"beta must be a positive integer, got {self.beta!r}")
+        check_positive(beta=self.beta)
         if not isinstance(self.p, int) or not 1 <= self.p <= self.beta:
             raise ValueError(f"p must be in [1:{self.beta}], got {self.p!r}")
 
@@ -149,15 +151,6 @@ def _walk_rows(successors, steps: int):
 def _walk_count(successors, steps: int) -> int:
     """Exact number of walks of `steps` steps, keeping one row of counts at a time."""
     return sum(deque(_walk_rows(successors, steps), maxlen=1).pop())
-
-
-def build_state_set(params: WwlParams):
-    """The admissible prefixes as 0/1 tuples, in state-index (value) order.
-
-    For beta = 1 the set is the single empty prefix.
-    """
-    states, _ = _transfer_graph(params)
-    return tuple(bits_from_int(s, params.beta - 1) for s in states)
 
 
 def build_transition_matrix(params: WwlParams):
@@ -387,7 +380,8 @@ class CountTable:
     largest length rank() can ask for on vectors of length n.  Each row
     sums the previous one over the successor lists, in exact integers;
     `index` maps a state int to its 1-based index.  Instances are
-    immutable once built.
+    immutable once built.  A table needing over MAX_TABLE_BITS, n * M * n,
+    raises ResourceLimitError before any counting.
     """
 
     def __init__(self, params: WwlParams, n: int):
@@ -398,6 +392,11 @@ class CountTable:
         self.min_length = params.beta - 1
         self.max_length = n + params.beta - 2
         states, successors = _transfer_graph(params)
+        bits = n * len(states) * n
+        if bits > MAX_TABLE_BITS:
+            raise ResourceLimitError(
+                f"({params.beta},{params.p}) count table for n={n} needs up to {bits} "
+                f"bits, over the limit of {MAX_TABLE_BITS}")
         self.index = {s: k for k, s in enumerate(states, start=1)}
         self._rows = list(_walk_rows(successors, self.max_length - self.min_length))
 
@@ -414,14 +413,6 @@ class CountTable:
         if not 1 <= state_index <= self.states:
             raise ValueError(f"state index {state_index} outside [1:{self.states}]")
         return self._rows[length - self.min_length][state_index - 1]
-
-    def row(self, length: int):
-        if not self.min_length <= length <= self.max_length:
-            raise ValueError(f"length {length} outside table range")
-        return tuple(self._rows[length - self.min_length])
-
-    def row_sum(self, length: int) -> int:
-        return sum(self.row(length))
 
 
 def count_wwl(params: WwlParams, n: int) -> int:
@@ -502,14 +493,15 @@ def unrank(params: WwlParams, n: int, m: int, table: CountTable | None = None) -
     Greedy left-to-right: try a 1 at each position, test only the
     window ending there (earlier windows are already admissible and
     later bits are still zero), and keep the 1 when the count of
-    vectors skipped stays below m.
+    vectors skipped stays below m.  The range check on m recounts
+    through count_wwl, O(n * M) big-integer additions per call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    table = _require_table(params, n, table)
     total = count_wwl(params, n)
     if not 1 <= m <= total:
         raise ValueError(f"m must be in [1:{total}] for n={n}, got {m}")
-    table = _require_table(params, n, table)
     beta = params.beta
     mask = (1 << (beta - 1)) - 1
     c = [0] * n

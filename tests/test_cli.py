@@ -125,6 +125,21 @@ def test_capacity_over_graph_limit_exits_2(capsys):
     assert "limit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("unrank", "--beta", "6", "--p", "3", "--n", "40000", "--m", "1"),
+    ("rank", "--beta", "6", "--p", "3", "--vector", "0" * 40000),
+    ("simulate", "--construction", "space", "--beta", "6", "--p", "3", "--nprime", "40000"),
+])
+def test_count_table_over_limit_exits_2(capsys, argv):
+    """The table cap refuses before counting: n = 40,000 would need about 2.6 GB."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("tscc: error:")
+    assert "count table" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("construction", [
     ("timep", "--alpha", "4", "--p", "2"),
     ("dilute-space", "--alpha", "4", "--beta", "3", "--p", "2"),

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from tscc.core import (ConstraintParams, all_one, all_zero, check_constraint,
-                       hamming_weight, measure_rate, parse_state, simulate)
+from tscc.core import (ConstraintParams, all_zero, check_constraint, measure_rate,
+                       parse_state, simulate)
 from tscc.constructions import (BitPerWriteWom, DilutedSpaceCode,
                                 DilutedTimeCode, RsWom, SpaceCode,
                                 TabulatedWom, TimeCode, TimePCode, TrivialCode,
@@ -277,7 +277,7 @@ def test_timep_odd_alternates_reset_level():
     result = assert_valid_run(code, periods=8, seed=1)
     for period_no in range(1, 9):
         state = result.trace.states[(period_no - 1) * 5 + 4]  # after reset write
-        assert state == (all_one(1) if period_no % 2 else all_zero(1))
+        assert state == ((1,) if period_no % 2 else all_zero(1))
 
 
 def test_timep_rejects_overfull_schedule():

@@ -11,8 +11,8 @@ import hypothesis.strategies as st
 
 from tscc import core
 from tscc.core import (ConstraintParams, WriteSequence, all_zero, bits_from_int,
-                       check_constraint, check_lines, flip_matrix, format_state,
-                       hamming_weight, measure_rate, parse_state, psi, simulate,
+                       check_constraint, check_lines, complement, flip_matrix,
+                       format_state, measure_rate, parse_state, psi, simulate,
                        xor)
 from tscc.constructions import TrivialCode
 
@@ -50,7 +50,7 @@ def test_bits_from_int_inverts_psi(v):
 
 
 def test_hamming_helpers():
-    assert hamming_weight((1, 0, 1, 1)) == 3
+    assert complement((1, 0, 1, 1)) == (0, 1, 0, 0)
     assert xor((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
 
 

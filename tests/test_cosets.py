@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 
 from tscc.core import all_zero, bits_from_int, check_constraint, psi, simulate
 from tscc.wwl import WwlParams, enumerate_wwl, is_wwl
-from tscc.cosets import (CosetCode, GoodCodeSearch, find_good_code, is_s_good,
-                         xor_autocorrelation)
+from tscc.cosets import (CosetCode, GoodCodeSearch, _gf2_rref, find_good_code,
+                         is_s_good, xor_autocorrelation)
 
 
 @settings(max_examples=60)
@@ -146,6 +146,31 @@ def test_greedy_rejects_doubling_a_good_code():
 
 
 # --- syndrome code -----------------------------------------------------------
+
+def span_oracle(rows):
+    """Every XOR of a subset of rows, by brute force."""
+    span = {0}
+    for r in rows:
+        span |= {x ^ r for x in span}
+    return span
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_gf2_rref_matches_brute_force(data):
+    n = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(st.integers(0, 2 ** n - 1), max_size=14))
+    basis, pivots = _gf2_rref(rows, n)
+    span = span_oracle(rows)
+    assert span_oracle(basis) == span
+    assert len(basis) == len(pivots) and 2 ** len(basis) == len(span)
+    assert pivots == sorted(set(pivots))
+    for i, (row, piv) in enumerate(zip(basis, pivots)):
+        assert piv == n - row.bit_length()  # the pivot is the row's leading bit
+        for j, other in enumerate(basis):
+            if j != i:
+                assert not other >> (n - 1 - piv) & 1
+
 
 def test_coset_code_validation():
     params = WwlParams(3, 2)

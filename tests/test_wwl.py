@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import tracemalloc
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tscc.core import ConvergenceError, ResourceLimitError, all_zero, bits_from_int, psi
-from tscc.wwl import (CountTable, EigenEstimate, WwlParams, build_state_set,
+from tscc.wwl import (CountTable, EigenEstimate, WwlParams,
                       build_transition_matrix, count_wwl, dominant_eigenvalue,
                       enumerate_wwl, is_irreducible, is_wwl, rank,
                       state_count, unrank, wwl_capacity, wwl_values)
@@ -37,23 +38,31 @@ def test_is_wwl_windows():
 
 
 def test_state_set_golden_small():
-    assert build_state_set(WwlParams(3, 2)) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    params = WwlParams(3, 2)
+    assert enumerate_wwl(params, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert wwl_mod._transfer_graph(params)[0] == [0, 1, 2, 3]
 
 
 def test_state_set_golden_63():
-    states = build_state_set(WwlParams(6, 3))
+    params = WwlParams(6, 3)
+    states = enumerate_wwl(params, 5)
     assert len(states) == 26
     assert states[0] == (0, 0, 0, 0, 0)
     assert states[22] == (1, 1, 0, 0, 0)  # index 23 in 1-based value order
+    assert CountTable(params, 10).index[psi(states[22])] == 23
 
 
 @pytest.mark.parametrize("beta,p", GRID)
 def test_state_set_sorted_and_counted(beta, p):
-    states = build_state_set(WwlParams(beta, p))
-    assert len(states) == state_count(WwlParams(beta, p))
-    values = [psi(s) for s in states]
-    assert values == sorted(values)
-    assert len(set(values)) == len(values)
+    """The transfer graph's states are the admissible (beta-1)-prefixes in value order."""
+    params = WwlParams(beta, p)
+    values, _ = wwl_mod._transfer_graph(params)
+    assert len(values) == state_count(params)
+    assert values == sorted(set(values))
+    if beta == 1:
+        assert values == [0]  # the single empty prefix
+    else:
+        assert values == [psi(s) for s in enumerate_wwl(params, beta - 1)]
 
 
 def test_transition_matrix_golden_32():
@@ -69,7 +78,7 @@ def test_transition_matrix_golden_32():
 def test_transition_matrix_matches_merge_rule(beta, p):
     """Entry (i,j) is 1 exactly when i slides into j and the window spanning both is light."""
     params = WwlParams(beta, p)
-    states = build_state_set(params)
+    states = enumerate_wwl(params, beta - 1)
     a = build_transition_matrix(params)
     for i, si in enumerate(states):
         for j, sj in enumerate(states):
@@ -246,7 +255,8 @@ def test_count_table_golden_63():
 def test_count_table_base_row_and_range():
     table = CountTable(WwlParams(6, 3), 10)
     assert table.min_length == 5 and table.max_length == 14
-    assert table.row(5) == (1,) * 26
+    assert table.states == 26
+    assert [table.value(5, k) for k in range(1, 27)] == [1] * 26
     with pytest.raises(ValueError):
         table.value(4, 1)
     with pytest.raises(ValueError):
@@ -260,7 +270,8 @@ def test_count_table_rows_sum_to_counts(beta, p):
     params = WwlParams(beta, p)
     table = CountTable(params, 9)
     for length in range(max(table.min_length, 1), table.max_length + 1):
-        assert table.row_sum(length) == count_wwl(params, length)
+        row = [table.value(length, k) for k in range(1, table.states + 1)]
+        assert sum(row) == count_wwl(params, length)
 
 
 def test_count_memory_does_not_grow_with_n():
@@ -375,7 +386,7 @@ def test_rank_with_shared_table_builds_no_graph(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("rank rebuilt the state set or transfer graph")
 
-    for builder in ("_transfer_graph", "build_state_set", "build_transition_matrix"):
+    for builder in ("_transfer_graph", "build_transition_matrix"):
         monkeypatch.setattr(wwl_mod, builder, boom)
     assert rank(params, (1, 0, 1, 1, 0, 0, 1, 0, 0, 1), table) == 353
 
@@ -388,6 +399,19 @@ def test_graph_limit_raises_before_building(monkeypatch):
         wwl_capacity(WwlParams(40, 20))
     with pytest.raises(ResourceLimitError):
         build_transition_matrix(WwlParams(16, 8))  # 22,819 squared entries
+
+
+def test_count_table_cap_raises_before_counting():
+    """n * M * n = 7,000 * 26 * 7,000 bits is over MAX_TABLE_BITS."""
+    params = WwlParams(6, 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="count table"):
+        CountTable(params, 7_000)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ResourceLimitError):
+        unrank(params, 7_000, 1)
+    # tables as large as the space codes use are untouched
+    assert CountTable(WwlParams(10, 5), 64).states == 382
 
 
 def test_capacity_reaches_beta_16():
