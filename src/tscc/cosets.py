@@ -27,6 +27,12 @@ steps * 2^n.  A transform is a few products with Hadamard blocks of
 order <= 16 between two reused buffers.  With 2^m <= 2^24 flags both are
 exact: the first runs in float32 on integers of magnitude <= |A| <= 2^24,
 the second in float64 on the squares, within 2^m * |A| <= 2^48 < 2^53.
+
+Syndromes are GF(2)-linear, so CosetCode reads them from one 256-entry
+table per byte of the word, built by XOR from the images of the unit
+vectors, and keeps 2^(n-k) representatives, filled block by block of S.
+A vacuous budget (p = beta) admits every word: the empty basis is
+S-good at once, and neither class enumerates S.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .wwl import WwlParams, wwl_values
 
 _MAX_N = 24
 _BLOCK_BITS = 4
+_LOW_BITS = 8  # index bits that _adjoin moves by a gather, not a view
+_CHUNK = 1 << 16  # words per block when CosetCode fills its table
 
 
 def _check_width(n: int, params: WwlParams | None = None):
@@ -90,7 +98,7 @@ def _overlap_scores(indicator: np.ndarray, spare: np.ndarray, work: np.ndarray) 
     halves = spare.view(np.float32).reshape(2, -1)[:, :size]
     halves[0] = indicator
     f = _walsh_hadamard(halves[0], halves[1])
-    np.multiply(f, f, out=work[:size], dtype=np.float64)
+    np.square(f, out=work[:size], dtype=np.float64)
     return _walsh_hadamard(work[:size], spare[:size])
 
 
@@ -103,6 +111,26 @@ def xor_autocorrelation(indicator: np.ndarray) -> np.ndarray:
     size = indicator.size
     scores = _overlap_scores(indicator, np.empty(size), np.empty(size))
     return scores.astype(np.int64) >> (size.bit_length() - 1)
+
+
+def _adjoin(cov: np.ndarray, zq: int) -> np.ndarray:
+    """Quotient coverage flags after adjoining the class zq (0 < zq < cov.size).
+
+    The new pivot is zq's leading bit: keep the classes with a 0 there, each
+    OR its translate by zq, which has a 1 there and c, zq's low bits, below
+    it.  x -> x ^ c needs no index of the full length: the bits of c above
+    the lowest _LOW_BITS reverse size-2 axes of a view, and the low ones, if
+    any are set, take a gather with a 2^_LOW_BITS index.
+    """
+    b = zq.bit_length() - 1
+    c = zq - (1 << b)
+    low = min(b, _LOW_BITS)
+    cov = cov.reshape(-1, 2, *(2,) * (b - low), 1 << low)
+    moved = cov[:, 1][(..., *(slice(None, None, -1 if c >> j & 1 else 1)
+                              for j in reversed(range(low, b))), slice(None))]
+    if c & ((1 << low) - 1):
+        moved = np.take(moved, np.arange(1 << low) ^ (c & ((1 << low) - 1)), axis=-1)
+    return (cov[:, 0] | moved).ravel()
 
 
 def _coverage(s_values, basis, n: int) -> np.ndarray:
@@ -136,29 +164,32 @@ class GoodCodeSearch:
     """Greedy search state for an S-good linear code; single-owner mutable.
 
     _cov flags the cosets of span(basis) inside the coverage, indexed by
-    the bits of the free columns _free (0 = the first cell) in order;
-    _buffers holds two float64 transform buffers of 2^n until it is good.
+    the bits of the free columns _free (0 = the first cell) in order, and
+    covered counts the words they hold; _buffers holds two float64
+    transform buffers of 2^n until it is good.  A vacuous budget leaves
+    _s and _cov None: every word is covered from the start.
     """
 
     def __init__(self, n: int, params: WwlParams):
         _check_width(n)
         self.n = n
         self.params = params
-        self._s = wwl_values(params, n)
         self.basis: list[int] = []
         self.steps: list[GreedyStep] = []
         self._free = list(range(n))
-        self._cov = _coverage(self._s, (), n)
         self._buffers = None
+        if ConstraintParams(1, params.beta, params.p).vacuous:
+            self._s = self._cov = None
+            self.covered = 1 << n
+        else:
+            self._s = wwl_values(params, n)
+            self._cov = _coverage(self._s, (), n)
+            self.covered = self._s.size
 
     @cached_property
     def s_values(self) -> tuple:
         """S as Python ints in increasing order."""
-        return tuple(self._s.tolist())
-
-    @property
-    def covered(self) -> int:
-        return int(np.count_nonzero(self._cov)) << len(self.basis)
+        return tuple(range(1 << self.n)) if self._s is None else tuple(self._s.tolist())
 
     @property
     def missed(self) -> int:
@@ -175,7 +206,8 @@ class GoodCodeSearch:
     @property
     def step_bound(self) -> int:
         """Guaranteed upper bound on the number of doublings needed."""
-        return max(0, ceil(self.n - log2(self._s.size) + log2(self.n)))
+        log_s = self.n if self._s is None else log2(self._s.size)
+        return max(0, ceil(self.n - log_s + log2(self.n)))
 
     def double(self) -> GreedyStep:
         """Adjoin the translate overlapping current coverage least."""
@@ -189,16 +221,13 @@ class GoodCodeSearch:
         # the first minimum is a class outside B, with the smallest representative
         zq = int(np.argmin(_overlap_scores(self._cov, *self._buffers)))
         before = self.missed
-        # the new pivot is zq's leading bit: keep the classes with a 0 there, each
-        # OR its translate by zq, which has a 1 there and zq's low bits below it
         lead = free - zq.bit_length()
-        cov = self._cov.reshape(1 << lead, 2, -1)
-        low = np.arange(cov.shape[2]) ^ (zq - cov.shape[2])
-        self._cov = (cov[:, 0, :] | cov[:, 1, low]).ravel()
+        self._cov = _adjoin(self._cov, zq)
         z = sum(1 << (self.n - 1 - col) for i, col in enumerate(self._free)
                 if zq >> (free - 1 - i) & 1)
         del self._free[lead]
         self.basis.append(z)
+        self.covered = int(np.count_nonzero(self._cov)) << len(self.basis)
         after = self.missed
         if after == 0:
             self._buffers = None
@@ -241,6 +270,24 @@ def _gf2_rref(rows, n: int):
     return [basis[piv] for piv in pivots], pivots
 
 
+def _byte_tables(units) -> np.ndarray:
+    """Tables of a GF(2)-linear map on ints from units[i], the image of 1 << i:
+    row r maps byte r of x (bits 8r to 8r + 7) to its share of the image."""
+    tables = np.zeros((-(-len(units) // 8), 256), dtype=np.int64)
+    for i, u in enumerate(units):
+        row, bit = divmod(i, 8)
+        tables[row, 1 << bit:2 << bit] = tables[row, :1 << bit] ^ u
+    return tables
+
+
+def _linear(tables, x):
+    """The map of _byte_tables at x: an int with list rows, an int64 array with array rows."""
+    image = 0
+    for r, table in enumerate(tables):
+        image ^= table[x >> 8 * r & 255]
+    return image
+
+
 class CosetCode(RewritingCode):
     """Syndrome rewriting code over an S-good linear code.
 
@@ -256,39 +303,49 @@ class CosetCode(RewritingCode):
         self.params = ConstraintParams(1, params.beta, params.p)
         self.n_cells = n
         self.period = 1
-        s = np.sort(wwl_values(params, n) if s_values is None
-                    else np.asarray(s_values, dtype=np.int64))
         basis = [int(z) for z in basis]
         rref, pivots = _gf2_rref(basis, n)
         if len(rref) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
         self.k = len(rref)
-        self._rref = rref
-        self._pivots = pivots
-        self._free = [j for j in range(n) if j not in pivots]
+        m = n - self.k
+        free = [j for j in range(n) if j not in pivots]
+        rows = dict(zip(pivots, rref))
+
+        def pack(x):  # the free-column bits of x, in column order
+            return sum(1 << (m - 1 - i) for i, j in enumerate(free) if x >> (n - 1 - j) & 1)
+
+        # the syndrome of the unit vector 1 << i is that of its reduced form:
+        # the basis row with its pivot in cell n - i, else the vector itself
+        self._tables = _byte_tables([pack(rows.get(n - 1 - i, 1 << i)) for i in range(n)])
+        self._table_lists = self._tables.tolist()
+        if s_values is None and self.params.vacuous:
+            # every word is admissible: each class's smallest member has 0 in every
+            # pivot cell and the syndrome bits in the free ones
+            deposit = _byte_tables([1 << (n - 1 - free[m - 1 - i]) for i in range(m)])
+            self._rep = np.empty(1 << m, dtype=np.int64)
+            for lo in range(0, 1 << m, _CHUNK):
+                self._rep[lo:lo + _CHUNK] = _linear(deposit, np.arange(lo, min(lo + _CHUNK, 1 << m)))
+            return
+        self._rep = np.full(1 << m, 1 << n, dtype=np.int64)  # 2^n: not reached yet
+        s = wwl_values(params, n) if s_values is None else np.asarray(s_values, dtype=np.int64)
         # smallest admissible pattern per syndrome; S-goodness makes this total
-        syndromes = self._syndrome_int(s)
-        reached, first = np.unique(syndromes, return_index=True)
-        unreachable = (1 << (n - self.k)) - reached.size
+        for lo in range(0, s.size, _CHUNK):
+            block = s[lo:lo + _CHUNK]
+            np.minimum.at(self._rep, self._syndrome_int(block), block)
+        unreachable = int(np.count_nonzero(self._rep >> n))
         if unreachable:
             # each unreached syndrome is a whole uncovered coset of 2^k words
             raise ValueError(
                 f"code is not S-good: {unreachable << self.k} words uncovered, "
                 f"{unreachable} syndromes unreachable")
-        self._rep = s[first].tolist()
 
     def _syndrome_int(self, x):
         """Free-coordinate bits of x reduced mod the code, packed in column order.
 
-        x is an int or an int64 array; the arithmetic is the same for both.
+        x is an int (looked up in lists) or an int64 array (gathered).
         """
-        n = self.n_cells
-        for piv, b in zip(self._pivots, self._rref):
-            x = x ^ (x >> (n - 1 - piv) & 1) * b
-        d = x & 0  # 0 of x's type and shape
-        for j in self._free:
-            d = (d << 1) | (x >> (n - 1 - j) & 1)
-        return d
+        return _linear(self._tables if isinstance(x, np.ndarray) else self._table_lists, x)
 
     def message_count(self, write_index: int) -> int:
         self._check_write_index(write_index)
@@ -296,7 +353,7 @@ class CosetCode(RewritingCode):
 
     def encode(self, write_index: int, message: int, current: Bits) -> Bits:
         x = psi(self._check(write_index, current, message))
-        pattern = self._rep[self._syndrome_int(x) ^ (message - 1)]
+        pattern = int(self._rep[self._syndrome_int(x) ^ (message - 1)])
         return bits_from_int(x ^ pattern, self.n_cells)
 
     def decode(self, write_index: int, current: Bits) -> int:

@@ -443,6 +443,51 @@ def test_findgood_golden_grid(capsys):
         "00ed98c0e3c3f093503214db6e2ffd4755f1c9b0bbfc7a4911b963337ff3f485")
 
 
+def test_findgood_benchmark_sizes_golden(capsys):
+    """Whole findgood output at the three sizes the analysis benchmark times."""
+    digest = hashlib.sha256()
+    for n, beta, p in ((16, 3, 1), (17, 4, 2), (18, 4, 2)):
+        code, out, err = run_cli(capsys, "findgood", "--n", str(n),
+                                 "--beta", str(beta), "--p", str(p))
+        assert code == 0, err
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "8a2de23130f908d512d794b924e771255bc58873d2c46efb3301fe2fb49acc70")
+
+
+def test_simulate_coset_golden(capsys, tmp_path):
+    """simulate stdout plus --trace bytes for the benchmark's n = 18 coset code."""
+    trace = tmp_path / "run.txt"
+    code, out, err = run_cli(capsys, "simulate", "--construction", "coset", "--n", "18",
+                             "--beta", "4", "--p", "2", "--writes", "200",
+                             "--trace", str(trace))
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode())
+    digest.update(trace.read_bytes())
+    assert digest.hexdigest() == (
+        "ab266c598e506bed7314fe0a0771b3a8eae9af6f5fdceb6d2d8d33ec1663e29c")
+
+
+def test_findgood_vacuous_budget_memory_follows_the_code(capsys):
+    """p = beta: no S, no search; the code table is 2^(n-k) int64 words
+    plus one block's temporaries, well under the 2^n-sized arrays of S."""
+    import tracemalloc
+
+    from tscc import cosets
+    n = 20
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "findgood", "--n", str(n), "--beta", "3", "--p", "3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    k = json.loads(out)["j"]
+    assert k == 0
+    # the table, then at most eight int64 arrays of one block
+    assert peak < 8 * (1 << (n - k)) + 8 * 8 * cosets._CHUNK
+
+
 @pytest.mark.parametrize("n", ["0", "25"])
 def test_findgood_rejects_n_outside_cap(capsys, n):
     code, out, err = run_cli(capsys, "findgood", "--n", n, "--beta", "3", "--p", "2")

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from tscc.core import all_zero, bits_from_int, check_constraint, psi, simulate
 from tscc.wwl import WwlParams, enumerate_wwl, is_wwl
-from tscc.cosets import (CosetCode, GoodCodeSearch, _gf2_rref, find_good_code,
+from tscc.cosets import (CosetCode, GoodCodeSearch, _adjoin, _gf2_rref, find_good_code,
                          is_s_good, xor_autocorrelation)
 
 
@@ -127,6 +127,75 @@ def test_greedy_matches_naive_full_space_greedy(data):
     assert [(s.z, s.covered, s.missed, s.q) for s in search.steps] == steps
 
 
+@pytest.mark.parametrize("m", range(1, 12))
+def test_adjoin_matches_full_index_gather(m):
+    """Every class zq at 2^m flags: the view-and-small-gather fold equals
+    the gather through a full-length index of x ^ c."""
+    cov = np.random.default_rng(m).random(1 << m) < 0.4
+    for zq in range(1, 1 << m):
+        split = cov.reshape(cov.size >> zq.bit_length(), 2, -1)
+        length = split.shape[2]
+        want = (split[:, 0, :] | split[:, 1, np.arange(length) ^ (zq - length)]).ravel()
+        got = _adjoin(cov, zq)
+        assert got.dtype == bool and np.array_equal(got, want), zq
+
+
+def test_vacuous_budget_is_good_without_enumerating_s():
+    search = GoodCodeSearch(9, WwlParams(4, 4))
+    assert search._s is None and search.is_good and search.missed == 0
+    assert search.s_values == tuple(range(1 << 9))
+    assert search.step_bound == math.ceil(math.log2(9))
+    with pytest.raises(ValueError, match="already S-good"):
+        search.double()
+    search, code = find_good_code(9, WwlParams(4, 4))
+    assert search.basis == [] and code.k == 0
+    assert np.array_equal(code._rep, np.arange(1 << 9))
+
+
+@pytest.mark.parametrize("basis", [[], [0b100100100], [0b1, 0b110000000], [7, 56, 448]])
+def test_vacuous_representatives_match_a_scan_of_every_word(basis):
+    """Without S, a vacuous code deposits each syndrome into the free cells;
+    that is the smallest word of each class, as a scan of all words finds."""
+    params = WwlParams(3, 3)
+    direct = CosetCode(9, params, basis)
+    scanned = CosetCode(9, params, basis, np.arange(1 << 9)[::-1])
+    assert np.array_equal(direct._rep, scanned._rep)
+
+
+def _adjoin_covering(flags):
+    """A stand-in for _adjoin that leaves exactly `flags` classes covered."""
+    def fake(cov, zq):
+        out = np.zeros(cov.size // 2, dtype=bool)
+        out[:flags] = True
+        return out
+    return fake
+
+
+def test_greedy_step_raises_when_the_uncovered_set_does_not_shrink(monkeypatch):
+    search = GoodCodeSearch(8, WwlParams(3, 1))
+    monkeypatch.setattr("tscc.cosets._adjoin", _adjoin_covering(0))
+    with pytest.raises(RuntimeError, match="failed to shrink"):
+        search.double()
+
+
+def test_greedy_step_raises_when_q_does_not_square(monkeypatch):
+    search = GoodCodeSearch(8, WwlParams(3, 1))
+    before = search.missed
+    # one step later each class holds two words: cover just more than S did
+    flags = search.covered // 2 + 1
+    after = 256 - 2 * flags
+    assert before > after and after * 256 > before * before
+    monkeypatch.setattr("tscc.cosets._adjoin", _adjoin_covering(flags))
+    with pytest.raises(RuntimeError, match="doubling guarantee violated"):
+        search.double()
+
+
+def test_greedy_run_raises_past_its_step_bound(monkeypatch):
+    monkeypatch.setattr(GoodCodeSearch, "step_bound", property(lambda self: -self.n - 1))
+    with pytest.raises(RuntimeError, match="exceeded its guaranteed step bound"):
+        GoodCodeSearch(8, WwlParams(3, 1)).run()
+
+
 def test_greedy_is_deterministic():
     a = GoodCodeSearch(9, WwlParams(3, 2)).run()
     b = GoodCodeSearch(9, WwlParams(3, 2)).run()
@@ -172,6 +241,40 @@ def test_gf2_rref_matches_brute_force(data):
                 assert not other >> (n - 1 - piv) & 1
 
 
+def gf2_syndrome(x, basis, n):
+    """Syndrome by direct reduction: clear each pivot with its echelon row,
+    then pack the free cells in column order; for an int or an int64 array."""
+    rref, pivots = _gf2_rref(basis, n)
+    for piv, row in zip(pivots, rref):
+        x = x ^ (x >> (n - 1 - piv) & 1) * row
+    d = x & 0
+    for j in range(n):
+        if j not in pivots:
+            d = (d << 1) | (x >> (n - 1 - j) & 1)
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_byte_table_syndromes_match_gf2_reduction(data):
+    n = data.draw(st.integers(1, 24))
+    # rows with distinct leading bits are independent; k >= n - 14 keeps the
+    # table at most 2^14 entries
+    k = data.draw(st.integers(max(0, n - 14), n))
+    leads = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    basis = [1 << b | data.draw(st.integers(0, (1 << b) - 1)) for b in leads]
+    code = CosetCode(n, WwlParams(1, 1), basis)
+    words = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=40))
+    assert [code._syndrome_int(x) for x in words] == [gf2_syndrome(x, basis, n) for x in words]
+    array = np.array(words, dtype=np.int64)
+    got = code._syndrome_int(array)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, gf2_syndrome(array, basis, n))
+    # each representative lies in its own class
+    classes = np.arange(code.message_count(1))
+    assert np.array_equal(code._syndrome_int(code._rep), classes)
+
+
 def test_coset_code_validation():
     params = WwlParams(3, 2)
     with pytest.raises(ValueError, match="dependent"):
@@ -184,7 +287,7 @@ def test_coset_code_takes_its_basis_from_a_generator():
     from_list = CosetCode(8, WwlParams(3, 2), [60, 4])
     from_gen = CosetCode(8, WwlParams(3, 2), (z for z in [60, 4]))
     assert from_gen.k == from_list.k == 2
-    assert from_gen._rep == from_list._rep
+    assert np.array_equal(from_gen._rep, from_list._rep)
 
 
 def test_coset_code_exhaustive_roundtrip():
