@@ -290,6 +290,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+ cap printing at 4,300 digits
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

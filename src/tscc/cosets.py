@@ -28,11 +28,12 @@ order <= 16 between two reused buffers.  With 2^m <= 2^24 flags both are
 exact: the first runs in float32 on integers of magnitude <= |A| <= 2^24,
 the second in float64 on the squares, within 2^m * |A| <= 2^48 < 2^53.
 
-Syndromes are GF(2)-linear, so CosetCode reads them from one 256-entry
-table per byte of the word, built by XOR from the images of the unit
-vectors, and keeps 2^(n-k) representatives, filled block by block of S.
-A vacuous budget (p = beta) admits every word: the empty basis is
-S-good at once, and neither class enumerates S.
+Syndromes are GF(2)-linear, so CosetCode and is_s_good read them from one
+256-entry table per byte of the word, built by XOR from the images of the
+unit vectors.  Block by block of S, is_s_good marks the syndromes S
+reaches and CosetCode fills its 2^(n-k) representatives.  A vacuous
+budget (p = beta) admits every word: the empty basis is S-good at once,
+and neither class enumerates S.
 """
 
 from __future__ import annotations
@@ -133,20 +134,15 @@ def _adjoin(cov: np.ndarray, zq: int) -> np.ndarray:
     return (cov[:, 0] | moved).ravel()
 
 
-def _coverage(s_values, basis, n: int) -> np.ndarray:
-    """Indicator of span(basis) + S, built by folding one translate per step."""
-    cov = np.zeros(1 << n, dtype=bool)
-    cov[np.asarray(s_values, dtype=np.int64)] = True
-    for z in basis:
-        cov |= cov[np.arange(1 << n) ^ z]
-    return cov
-
-
 def is_s_good(basis, s_values, n: int):
-    """Whether span(basis) + S covers everything, and how many words it misses."""
+    """Whether span(basis) + S covers everything, and how many words it misses:
+    a whole coset of 2^k for each syndrome no pattern of S reaches."""
     _check_width(n)
-    cov = _coverage(s_values, basis, n)
-    missed = (1 << n) - int(np.count_nonzero(cov))
+    k, _, tables, s = _syndrome_map(basis, n, s_values)
+    reached = np.zeros(1 << (n - k), dtype=bool)
+    for lo in range(0, s.size, _CHUNK):
+        reached[_linear(tables, s[lo:lo + _CHUNK])] = True
+    missed = (reached.size - int(np.count_nonzero(reached))) << k
     return missed == 0, missed
 
 
@@ -183,7 +179,8 @@ class GoodCodeSearch:
             self.covered = 1 << n
         else:
             self._s = wwl_values(params, n)
-            self._cov = _coverage(self._s, (), n)
+            self._cov = np.zeros(1 << n, dtype=bool)
+            self._cov[self._s] = True
             self.covered = self._s.size
 
     @cached_property
@@ -288,6 +285,31 @@ def _linear(tables, x):
     return image
 
 
+def _syndrome_map(basis, n: int, s_values):
+    """(k, free, tables, s): the dimension of span(basis), its free (non-pivot)
+    columns, the _byte_tables of its syndrome map (a word's free-column bits
+    after reduction mod the span, in column order) and S as int64 or None.
+    A basis vector or S value outside [0, 2^n) is refused by value."""
+    basis = [int(z) for z in basis]
+    for z in basis:
+        if z >> n:
+            raise ValueError(f"basis vector {z} does not fit in {n} bits")
+    s = None if s_values is None else np.asarray(s_values, dtype=np.int64)
+    if s is not None and s.size and (s.min() < 0 or s.max() >> n):
+        raise ValueError(f"S value {s[s >> n != 0][0]} does not fit in {n} bits")
+    rref, pivots = _gf2_rref(basis, n)
+    free = [j for j in range(n) if j not in pivots]
+    rows = dict(zip(pivots, rref))
+
+    def pack(x):  # the free-column bits of x, in column order
+        return sum(1 << (len(free) - 1 - i) for i, j in enumerate(free) if x >> (n - 1 - j) & 1)
+
+    # the syndrome of the unit vector 1 << i is that of its reduced form:
+    # the basis row with its pivot in cell n - i, else the vector itself
+    tables = _byte_tables([pack(rows.get(n - 1 - i, 1 << i)) for i in range(n)])
+    return len(rref), free, tables, s
+
+
 class CosetCode(RewritingCode):
     """Syndrome rewriting code over an S-good linear code.
 
@@ -303,23 +325,13 @@ class CosetCode(RewritingCode):
         self.params = ConstraintParams(1, params.beta, params.p)
         self.n_cells = n
         self.period = 1
-        basis = [int(z) for z in basis]
-        rref, pivots = _gf2_rref(basis, n)
-        if len(rref) != len(basis):
+        basis = list(basis)
+        self.k, free, self._tables, s = _syndrome_map(basis, n, s_values)
+        if self.k != len(basis):
             raise ValueError("basis vectors are linearly dependent")
-        self.k = len(rref)
         m = n - self.k
-        free = [j for j in range(n) if j not in pivots]
-        rows = dict(zip(pivots, rref))
-
-        def pack(x):  # the free-column bits of x, in column order
-            return sum(1 << (m - 1 - i) for i, j in enumerate(free) if x >> (n - 1 - j) & 1)
-
-        # the syndrome of the unit vector 1 << i is that of its reduced form:
-        # the basis row with its pivot in cell n - i, else the vector itself
-        self._tables = _byte_tables([pack(rows.get(n - 1 - i, 1 << i)) for i in range(n)])
         self._table_lists = self._tables.tolist()
-        if s_values is None and self.params.vacuous:
+        if s is None and self.params.vacuous:
             # every word is admissible: each class's smallest member has 0 in every
             # pivot cell and the syndrome bits in the free ones
             deposit = _byte_tables([1 << (n - 1 - free[m - 1 - i]) for i in range(m)])
@@ -327,8 +339,8 @@ class CosetCode(RewritingCode):
             for lo in range(0, 1 << m, _CHUNK):
                 self._rep[lo:lo + _CHUNK] = _linear(deposit, np.arange(lo, min(lo + _CHUNK, 1 << m)))
             return
+        s = wwl_values(params, n) if s is None else s
         self._rep = np.full(1 << m, 1 << n, dtype=np.int64)  # 2^n: not reached yet
-        s = wwl_values(params, n) if s_values is None else np.asarray(s_values, dtype=np.int64)
         # smallest admissible pattern per syndrome; S-goodness makes this total
         for lo in range(0, s.size, _CHUNK):
             block = s[lo:lo + _CHUNK]

@@ -205,10 +205,6 @@ class EigenEstimate:
     upper: float
     iterations: int
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def _table(adj):
     """Row k of (index, weight) holds entry k of every row of a matrix;
@@ -228,11 +224,12 @@ def _power_brackets(adjs, tol: float, max_iter: int) -> list[EigenEstimate]:
     in order, of summing each row in Python), and its ratios, bracket and
     max-scale are reduced over its own states.  A batch takes matrices
     until it holds _CHUNK_ENTRIES / 16 states, so it runs chunks of
-    K <= 16 steps (K * states <= _CHUNK_ENTRIES), and a matrix leaves it
-    at the chunk where it converges.  Brent's cycle test compares each
-    iterate with one saved at doubling distances: an exact repeat means no
-    later bracket can narrow, so ConvergenceError comes at once, with the
-    bracket max_iter would end on.
+    K <= 16 steps (K * states <= _CHUNK_ENTRIES).  Every matrix in a
+    batch steps until the last one stops; each takes its estimate at the
+    chunk where it converges, and its later steps go unread.  Brent's
+    cycle test compares each iterate with one saved at doubling
+    distances: an exact repeat means no later bracket can narrow, so
+    ConvergenceError comes at once, with the bracket max_iter would end on.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"power iteration needs tol > 0 and max_iter >= 1, "
@@ -246,55 +243,49 @@ def _power_brackets(adjs, tol: float, max_iter: int) -> list[EigenEstimate]:
     return results + _batch_brackets(tables, tol, max_iter)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # steps after a stop are discarded
-def _steps(rows, terms, starts, owner):
-    """Power steps from row to row of (v with its zero slot, next v,
-    ratios, max-scale per matrix): one gather per column position.  Its
-    own function, so no loop variable keeps a dropped batch alive."""
-    (w0, i0), *rest = terms
-    for vk, new, ratio, scale in rows:
-        w = w0 * vk[i0]
-        for wd, idx in rest:
-            w += wd * vk[idx]
-        np.divide(w, vk[:-1], out=ratio)
-        np.maximum.reduceat(w, starts, out=scale)
-        np.divide(w, scale[owner], out=new)
-
-
+@np.errstate(divide="ignore", invalid="ignore")  # a stopped matrix's later steps go unread
 def _batch_brackets(tables, tol, max_iter):
     """_power_brackets on one batch of tables, laid end to end with the
-    padding pointing at slot -1, a zero after the states."""
+    padding pointing at slot -1, a zero after the states.  The buffers are
+    laid out once: a step reads only its own matrix's slots and the zero
+    slot, so a stopped matrix can keep stepping beside the others."""
+    if not tables:
+        return []
     sizes = [index.shape[1] for index, _ in tables]
+    starts = np.cumsum([0] + sizes[:-1])
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    index = np.full((max((len(i) for i, _ in tables), default=1), owner.size), -1, dtype=np.intp)
+    total = owner.size
+    index = np.full((max(len(i) for i, _ in tables), total), -1, dtype=np.intp)
     weight = np.zeros(index.shape)
-    for (idx, wt), start, size in zip(tables, np.cumsum([0] + sizes), sizes):
+    for (idx, wt), start, size in zip(tables, starts, sizes):
         index[:len(idx), start:start + size] = np.where(idx == size, -1, idx + start)
         weight[:len(wt), start:start + size] = wt
-    results, live = [None] * len(sizes), list(range(len(sizes)))
-    v = saved = np.ones(owner.size)
-    lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
+    (w0, i0), *terms = zip(weight, index)
+    vs = np.zeros((min(16, max(1, _CHUNK_ENTRIES // total)) + 1, total + 1))
+    vs[0, :total] = 1
+    ratios = np.empty((len(vs) - 1, total))
+    scales = np.empty((len(vs) - 1, len(sizes)))
+    rows = list(zip(vs, vs[1:, :total], ratios, scales))
+    results, left = [None] * len(sizes), np.ones(len(sizes), dtype=bool)
+    lo, hi = np.zeros(len(sizes)), np.full(len(sizes), np.inf)
+    saved = np.ones(total)
     done = saved_at = 0
-    stopped = np.ones(1, dtype=bool)
-    while live:
-        if stopped.any():  # buffers for the batch as it now stands
-            total = owner.size
-            starts = np.searchsorted(owner, np.arange(len(live)))
-            vs = np.zeros((min(16, max(1, _CHUNK_ENTRIES // total)) + 1, total + 1))
-            vs[0, :total] = v
-            ratios = np.empty((len(vs) - 1, total))
-            scales = np.empty((len(vs) - 1, len(live)))
-            terms = list(zip(weight, index))
-            rows = list(zip(vs, vs[1:, :total], ratios, scales))
-        chunk = min(len(ratios), max_iter - done)
-        _steps(rows[:chunk], terms, starts, owner)
+    while left.any():
+        chunk = min(len(rows), max_iter - done)
+        for vk, new, ratio, scale in rows[:chunk]:  # one gather per column position
+            w = w0 * vk[i0]
+            for wd, idx in terms:
+                w += wd * vk[idx]
+            np.divide(w, vk[:-1], out=ratio)
+            np.maximum.reduceat(w, starts, out=scale)
+            np.divide(w, scale[owner], out=new)
         lows = np.fmax(np.fmax.accumulate(np.minimum.reduceat(ratios[:chunk], starts, axis=1)), lo)
         highs = np.fmin(np.fmin.accumulate(np.maximum.reduceat(ratios[:chunk], starts, axis=1)), hi)
         repeats = np.logical_and.reduceat(vs[1:chunk + 1, :total] == saved, starts, axis=1)
         zero = scales[:chunk] <= 0
         stopped = (highs[-1] - lows[-1] <= tol) | zero.any(axis=0) | repeats.any(axis=0)
         done += chunk
-        for j in np.flatnonzero(stopped | (done == max_iter)):
+        for j in np.flatnonzero(left & (stopped | (done == max_iter))):
             # the bracket only narrows, so it first met tol at step c of the chunk
             c = chunk - int(np.count_nonzero(highs[:, j] - lows[:, j] <= tol))
             if zero[:c, j].any():
@@ -305,22 +296,13 @@ def _batch_brackets(tables, tol, max_iter):
                 raise ConvergenceError(
                     f"eigenvalue bracket still {highs[-1, j] - lows[-1, j]:g} wide {cause}",
                     estimate=EigenEstimate(float(lows[-1, j]), float(highs[-1, j]), max_iter))
-            results[live[j]] = EigenEstimate(float(lows[c, j]), float(highs[c, j]),
-                                             done - chunk + c + 1)
-        lo, hi, v = lows[-1], highs[-1], vs[chunk, :total]
-        if stopped.any():  # the stopped matrices leave, and the states are renumbered
-            keep = ~stopped
-            states = keep[owner]
-            lo, hi, v, saved = lo[keep], hi[keep], v[states], saved[states]
-            del vs, ratios, rows, terms  # free the old buffers first
-            renumber = np.append(np.cumsum(states) - 1, -1)
-            index, weight = renumber[index[:, states]], weight[:, states]
-            owner = (np.cumsum(keep) - 1)[owner[states]]
-            live = [g for g, kept in zip(live, keep) if kept]
-        else:
-            vs[0] = vs[chunk]
+            results[j] = EigenEstimate(float(lows[c, j]), float(highs[c, j]),
+                                       done - chunk + c + 1)
+        left &= ~stopped
+        lo, hi = lows[-1], highs[-1]
+        vs[0] = vs[chunk]
         if done >= 2 * saved_at:
-            saved, saved_at = v.copy(), done
+            saved, saved_at = vs[0, :total].copy(), done
     return results
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import tscc
 from tscc import core
 from tscc.cli import main
 
@@ -171,6 +172,25 @@ def test_count2d_serializes_count_as_string(capsys):
                    "--m", "8", "--n", "8")
     assert got["count"] == str(149 ** 8)
     assert isinstance(got["count"], str)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no cap on int-to-str conversion before Python 3.10.7")
+def test_counts_print_past_the_default_digit_cap(capsys):
+    """Counts of over 4,300 digits print in full, under the interpreter's default cap."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, out, err = run_cli(capsys, "count", "--beta", "3", "--p", "1", "--n", "40000")
+        assert code == 0, err
+        got = run_json(capsys, "count2d", "--a", "2", "--b", "2", "--p", "1",
+                       "--m", "10000", "--n", "4")
+        sys.set_int_max_str_digits(0)
+        assert out.strip() == str(tscc.count_wwl(tscc.WwlParams(3, 1), 40000))
+        assert got["count"] == str(tscc.count_2d_arrays(2, 2, 1, 10000, 4).count)
+        assert min(len(out.strip()), len(got["count"])) > 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("name", ["a", "b", "p"])

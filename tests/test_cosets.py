@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tscc.core import all_zero, bits_from_int, check_constraint, psi, simulate
-from tscc.wwl import WwlParams, enumerate_wwl, is_wwl
+from tscc.wwl import WwlParams, enumerate_wwl, is_wwl, wwl_values
 from tscc.cosets import (CosetCode, GoodCodeSearch, _adjoin, _gf2_rref, find_good_code,
                          is_s_good, xor_autocorrelation)
 
@@ -70,6 +70,33 @@ def test_syndrome_surjectivity_equals_coverage():
         else:
             with pytest.raises(ValueError, match=f"not S-good: {missed} words uncovered"):
                 CosetCode(n, params, basis)
+
+
+def test_is_s_good_reads_syndromes_in_little_memory():
+    """The 7-vector greedy basis at n = 22, (4, 2): no index over all 2^22 words."""
+    basis = [2097150, 2099199, 65472, 67708, 6558, 788140, 46]
+    s_values = wwl_values(WwlParams(4, 2), 22)
+    tracemalloc.start()
+    try:
+        assert is_s_good(basis, s_values, 22) == (True, 0)
+        assert is_s_good(basis[:-1], s_values, 22) == (False, 22848)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("basis,s_values,value", [
+    ([32], [0, 1, 2], "basis vector 32"),
+    ([-1], [0, 1, 2], "basis vector -1"),
+    ([1], [0, 16, 1], "S value 16"),
+    ([1], [0, -3, 1], "S value -3"),
+])
+def test_values_outside_the_word_are_refused(basis, s_values, value):
+    with pytest.raises(ValueError, match=f"{value} does not fit in 4 bits"):
+        is_s_good(basis, s_values, 4)
+    with pytest.raises(ValueError, match=f"{value} does not fit in 4 bits"):
+        CosetCode(4, WwlParams(2, 1), basis, s_values)
 
 
 # --- greedy search -----------------------------------------------------------

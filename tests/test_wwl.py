@@ -108,7 +108,7 @@ def test_dominant_eigenvalue_golden_ratio():
     est = dominant_eigenvalue(build_transition_matrix(WwlParams(2, 1)))
     phi = (1 + math.sqrt(5)) / 2
     assert est.lower <= phi <= est.upper
-    assert est.width <= 1e-9
+    assert est.upper - est.lower <= 1e-9
 
 
 def test_dominant_eigenvalue_iteration_cap():
@@ -188,6 +188,24 @@ def test_repeating_iterates_raise_at_once_with_the_final_bracket():
     with pytest.raises(ConvergenceError, match="iterates repeat") as err:
         wwl_mod._power_brackets([adj], 1e-300, 5000)
     assert err.value.estimate == _reference_bracket(adj, 1e-300, 5000)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_batch_raises_for_a_graph_that_never_converges(last):
+    """[[0, 2], [1, 0]] repeats with period 2 and its bracket stays [1, 2]:
+    in a batch it raises as it does alone, after (3, 2) has stopped and
+    before (12, 6) has."""
+    cycle = wwl_mod._adjacency([[0, 2], [1, 0]])
+    graphs = [_wwl_adjacency(3, 2), _wwl_adjacency(12, 6)]
+    with pytest.raises(ConvergenceError, match="iterates repeat") as alone:
+        wwl_mod._power_brackets([cycle], 1e-9, 10 ** 6)
+    batch = graphs + [cycle] if last else [cycle] + graphs
+    with pytest.raises(ConvergenceError, match="iterates repeat") as batched:
+        wwl_mod._power_brackets(batch, 1e-9, 10 ** 6)
+    assert batched.value.estimate == alone.value.estimate == EigenEstimate(1.0, 2.0, 10 ** 6)
+    single = [wwl_mod._power_brackets([adj], 1e-9, 10 ** 6)[0] for adj in graphs]
+    assert wwl_mod._power_brackets(graphs, 1e-9, 10 ** 6) == single
+    assert single[0].iterations < 32 < single[1].iterations  # the raise comes at step 32
 
 
 # --- counting ----------------------------------------------------------------
@@ -417,7 +435,7 @@ def test_count_table_cap_raises_before_counting():
 def test_capacity_reaches_beta_16():
     cap = wwl_capacity(WwlParams(16, 8))
     assert cap.states == 22819
-    assert cap.eigen.width <= 1e-9
+    assert cap.eigen.upper - cap.eigen.lower <= 1e-9
     assert 0.0 < cap.lower <= cap.upper < 1.0
 
 
